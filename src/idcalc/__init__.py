@@ -9,6 +9,7 @@ from .core import (
     RadialComponent,
     SpectralCheck,
     SpectralMeasure,
+    batched_exponent,
     callable_segment,
     char_exponent,
     conv_power,
@@ -29,6 +30,7 @@ from .mappings import (
     i_of_j_beta,
     j_beta,
     j_beta_inverse,
+    radial_map,
     sigma_clock,
     sigma_clock_deriv,
     smear_spectral,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +46,8 @@ __all__ = [
     "SpectralMeasure",
     "LevyTriplet",
     "IdMeasure",
+    "batched_exponent",
+    "as_batched",
     "SpectralCheck",
     "LogMoment",
     "char_exponent",
@@ -107,6 +109,10 @@ class DensitySegment:
     * ``log_tail`` -- "finite"/"divergent" for the integral of
       log(r) g(r) over the tail beyond radius 1.
 
+    ``kinks`` lists interior radii where ``g`` is not smooth (a smeared
+    density bends where its source support starts); radial integrals
+    split there.
+
     Absent hints, integrability is probed by cutoff refinement and any
     non-convergent answer is reported as such, never asserted.
     """
@@ -121,8 +127,10 @@ class DensitySegment:
     small_r_power: Optional[float] = None
     tail_mass_finite: Optional[bool] = None
     log_tail: Optional[str] = None
+    kinks: tuple[float, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "kinks", tuple(self.kinks))
         if not (self.lo >= 0 and self.hi > self.lo):
             raise ValidationError(
                 f"segment support must satisfy 0 <= lo < hi, got ({self.lo}, {self.hi})"
@@ -176,6 +184,7 @@ def callable_segment(
     small_r_power: Optional[float] = None,
     tail_mass_finite: Optional[bool] = None,
     log_tail: Optional[str] = None,
+    kinks: Sequence[float] = (),
 ) -> DensitySegment:
     """Generic density segment with optional analytic hints."""
     return DensitySegment(
@@ -186,6 +195,7 @@ def callable_segment(
         small_r_power=small_r_power,
         tail_mass_finite=tail_mass_finite,
         log_tail=log_tail,
+        kinks=kinks,
     )
 
 
@@ -219,7 +229,7 @@ def _segment_mass(seg: DensitySegment, a: float, b: float, weight=None) -> float
                 "tail integral did not converge; segment violates finite-mass requirement"
             )
         return val
-    return quad_real(f, a, b, points=[UNIT_BALL_RADIUS])
+    return quad_real(f, a, b, points=[UNIT_BALL_RADIUS, *seg.kinks])
 
 
 # ---------------------------------------------------------------------------
@@ -518,23 +528,50 @@ def _jump_integrand(r: float, c: float) -> complex:
     return out
 
 
-def char_exponent(triplet: LevyTriplet, y) -> complex:
+def _atom_terms(r: float, c: np.ndarray) -> np.ndarray:
+    """:func:`_jump_integrand` of one radius over an array of ``c``."""
+    x = r * c
+    out = (np.cos(x) - 1.0) + 1j * np.sin(x)
+    if r <= UNIT_BALL_RADIUS:
+        out -= 1j * x
+    return out
+
+
+def _as_batch(y, dim: int) -> np.ndarray:
+    """Frequencies as an ``(n, dim)`` array of finite values."""
+    Y = np.asarray(y, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != dim:
+        raise ValidationError(f"expected frequencies of shape (n, {dim}), got {Y.shape}")
+    if not np.all(np.isfinite(Y)):
+        raise ValidationError("frequencies have non-finite components")
+    return Y
+
+
+def char_exponent(triplet: LevyTriplet, y):
     """Characteristic exponent of a triplet at frequency ``y``.
 
-    Density segments are integrated by adaptive quadrature at relative
-    tolerance 1e-10 (absolute floor 1e-14), with the compensator kink at
-    radius 1 passed to the integrator as a split point.
+    ``y`` is one ``(dim,)`` vector (returns a complex) or a batch
+    ``(n, dim)`` (returns ``(n,)`` complex).  Shift, Gaussian and atom
+    terms are evaluated on the whole batch; density segments are
+    integrated row by row by adaptive quadrature at relative tolerance
+    1e-10 (absolute floor 1e-14), with the compensator kink at radius 1
+    passed to the integrator as a split point.
     """
-    y = _as_vector(y, triplet.dim)
-    val = complex(0.0, float(y @ triplet.a)) - 0.5 * float(y @ (triplet.S @ y))
+    if np.ndim(y) != 2:
+        return complex(_exponent_rows(triplet, _as_vector(y, triplet.dim)[None, :])[0])
+    return _exponent_rows(triplet, _as_batch(y, triplet.dim))
+
+
+def _exponent_rows(triplet: LevyTriplet, Y: np.ndarray) -> np.ndarray:
+    val = 1j * (Y @ triplet.a) - 0.5 * ((Y @ triplet.S) * Y).sum(axis=1)
     for ray in triplet.M.rays:
-        c = float(y @ ray.direction)
-        if c == 0.0:
-            continue
+        c = Y @ ray.direction
         for at in ray.atoms:
-            val += at.w * _jump_integrand(at.r, c)
+            val += at.w * _atom_terms(at.r, c)
+        rows = np.flatnonzero(c != 0.0)
         for seg in ray.densities:
-            val += _segment_exponent(seg, c)
+            for i in rows:
+                val[i] += _segment_exponent(seg, float(c[i]))
     return val
 
 
@@ -561,14 +598,58 @@ def _segment_exponent(seg: DensitySegment, c: float) -> complex:
 # ---------------------------------------------------------------------------
 
 
+def batched_exponent(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """Exponent evaluator from ``fn``, which maps ``Y (n, dim)`` to ``(n,)``
+    complex values.
+
+    The evaluator also takes one ``(dim,)`` vector and returns a complex.
+    It is marked as batched, so :func:`as_batched` passes it through.
+    """
+
+    def exponent(y):
+        Y = np.asarray(y, dtype=float)
+        if Y.ndim == 1:
+            return complex(fn(Y[None, :])[0])
+        return fn(Y)
+
+    exponent.batched = True
+    return exponent
+
+
+def as_batched(fn: Callable) -> Callable:
+    """``fn`` under the batched exponent contract.
+
+    Evaluators made by :func:`batched_exponent` (also behind wrappers that
+    set ``__wrapped__``) are returned as they are; any other callable is
+    taken to map one ``(dim,)`` vector to a complex and is lifted with a
+    loop over the rows.
+    """
+    inner = fn
+    while not getattr(inner, "batched", False):
+        inner = getattr(inner, "__wrapped__", None)
+        if inner is None:
+            return batched_exponent(
+                lambda Y: np.array([complex(fn(y)) for y in Y], dtype=complex)
+            )
+    return fn
+
+
 @dataclass(frozen=True)
 class IdMeasure:
     """An infinitely divisible law: dimension, exponent, optional triplet.
 
-    The exponent evaluator is always present.  When a triplet is given
-    the evaluator defaults to :func:`char_exponent` on that triplet, but
-    constructors may install a cheaper closed form; agreement of the two
-    is part of the test suite, not of construction.
+    ``exponent`` follows the batched contract: a batch ``Y (n, dim)``
+    gives ``(n,)`` complex values, one ``(dim,)`` vector gives a complex.
+    When a triplet is given the evaluator defaults to
+    :func:`char_exponent` on that triplet, but constructors may install a
+    cheaper closed form; agreement of the two is part of the test suite,
+    not of construction.
+
+    The constructor trusts its exponent to follow the contract and to
+    vanish at 0, as the package's transforms do by construction.
+    :meth:`from_exponent` and :meth:`from_triplet` take a caller's
+    exponent, lift a one-vector callable with a row loop and check that
+    it vanishes at 0.
     """
 
     dim: int
@@ -580,9 +661,13 @@ class IdMeasure:
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError(f"dimension must be >= 1, got {self.dim}")
+
+    def _vanishing(self) -> "IdMeasure":
+        """``self`` after checking that a caller's exponent vanishes at 0."""
         z = self.exponent(np.zeros(self.dim))
         if abs(z) > 1e-9:
             raise ValidationError(f"exponent does not vanish at 0: {z}")
+        return self
 
     @staticmethod
     def from_triplet(
@@ -591,14 +676,18 @@ class IdMeasure:
         log_moment_known: Optional[bool] = None,
         label: str = "measure",
     ) -> "IdMeasure":
-        fn = exponent if exponent is not None else (lambda y, t=triplet: char_exponent(t, y))
-        return IdMeasure(
+        if exponent is None:
+            fn = batched_exponent(lambda Y, t=triplet: char_exponent(t, Y))
+        else:
+            fn = as_batched(exponent)
+        mu = IdMeasure(
             dim=triplet.dim,
             exponent=fn,
             triplet=triplet,
             log_moment_known=log_moment_known,
             label=label,
         )
+        return mu if exponent is None else mu._vanishing()
 
     @staticmethod
     def from_exponent(
@@ -608,8 +697,11 @@ class IdMeasure:
         label: str = "measure",
     ) -> "IdMeasure":
         return IdMeasure(
-            dim=dim, exponent=exponent, log_moment_known=log_moment_known, label=label
-        )
+            dim=dim,
+            exponent=as_batched(exponent),
+            log_moment_known=log_moment_known,
+            label=label,
+        )._vanishing()
 
     def phi(self, y) -> complex:
         """Exponent at ``y`` (scalars accepted in dimension 1)."""
@@ -641,7 +733,7 @@ def convolve(mu: IdMeasure, nu: IdMeasure) -> IdMeasure:
     f, g = mu.exponent, nu.exponent
     return IdMeasure(
         dim=mu.dim,
-        exponent=lambda y: f(y) + g(y),
+        exponent=batched_exponent(lambda Y: f(Y) + g(Y)),
         triplet=triplet,
         log_moment_known=lm,
         label=f"({mu.label} * {nu.label})",
@@ -660,7 +752,7 @@ def conv_power(mu: IdMeasure, c: float) -> IdMeasure:
     f = mu.exponent
     return IdMeasure(
         dim=mu.dim,
-        exponent=lambda y: c * f(y),
+        exponent=batched_exponent(lambda Y: c * f(Y)),
         triplet=triplet,
         log_moment_known=mu.log_moment_known,
         label=f"{mu.label}^*{c:g}",

@@ -128,6 +128,7 @@ def _smear_breakpoints(M: SpectralMeasure, ray: int, r1: float, r2: float, beta:
     comp = M.rays[ray]
     radii = [at.r for at in comp.atoms]
     for seg in comp.densities:
+        radii.extend(seg.kinks)
         if seg.lo > 0:
             radii.append(seg.lo)
         if math.isfinite(seg.hi):

@@ -15,8 +15,9 @@ Shorthand families:
     {"family": "poisson", "rate": 1.0, "jump": 2.0}
     {"family": "gamma", "shape": 1.0, "rate": 1.0}
 
-Each family constructor installs a closed-form exponent next to the
-triplet; agreement of the two routes is covered by the test suite.
+Each family constructor installs a closed-form exponent, evaluated on
+whole batches of frequencies, next to the triplet; agreement of the two
+routes is covered by the test suite.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .core import (
     RadialAtom,
     RadialComponent,
     SpectralMeasure,
+    batched_exponent,
     exp_segment,
     power_segment,
 )
@@ -56,8 +58,9 @@ def gaussian(var: float = 1.0, dim: int = 1, cov=None, shift=None) -> IdMeasure:
     a = np.zeros(dim) if shift is None else np.asarray(shift, dtype=float)
     triplet = LevyTriplet(a, S)
 
-    def phi(y, a=a, S=S):
-        return complex(-0.5 * float(y @ (S @ y)), float(y @ a))
+    @batched_exponent
+    def phi(Y, a=a, S=S):
+        return -0.5 * ((Y @ S) * Y).sum(axis=1) + 1j * (Y @ a)
 
     return IdMeasure.from_triplet(
         triplet, exponent=phi, log_moment_known=True, label=f"gaussian(var={var:g})"
@@ -70,7 +73,7 @@ def dirac(shift) -> IdMeasure:
     triplet = LevyTriplet(a, np.zeros((a.size, a.size)))
     return IdMeasure.from_triplet(
         triplet,
-        exponent=lambda y: complex(0.0, float(y @ a)),
+        exponent=batched_exponent(lambda Y: 1j * (Y @ a)),
         log_moment_known=True,
         label=f"dirac({np.array2string(a, precision=4)})",
     )
@@ -90,9 +93,10 @@ def poisson(rate: float = 1.0, jump=2.0) -> IdMeasure:
     a = rate * x0 if r <= 1.0 else np.zeros_like(x0)
     triplet = LevyTriplet(a, np.zeros((x0.size, x0.size)), M)
 
-    def phi(y, lam=rate, x0=x0):
-        t = float(y @ x0)
-        return lam * (complex(math.cos(t) - 1.0, math.sin(t)))
+    @batched_exponent
+    def phi(Y, lam=rate, x0=x0):
+        t = Y @ x0
+        return lam * ((np.cos(t) - 1.0) + 1j * np.sin(t))
 
     return IdMeasure.from_triplet(
         triplet, exponent=phi, log_moment_known=True,
@@ -116,9 +120,10 @@ def gamma(shape: float = 1.0, rate: float = 1.0) -> IdMeasure:
     a = np.array([shape * (1.0 - math.exp(-rate)) / rate])
     triplet = LevyTriplet(a, np.zeros((1, 1)), M)
 
-    def phi(y, k=shape, lam=rate):
+    @batched_exponent
+    def phi(Y, k=shape, lam=rate):
         # principal log is safe: Re(1 - i y/lam) = 1 > 0
-        return -k * complex(np.log(1.0 - 1j * float(y[0]) / lam))
+        return -k * np.log(1.0 - 1j * Y[:, 0] / lam)
 
     return IdMeasure.from_triplet(
         triplet, exponent=phi, log_moment_known=True,

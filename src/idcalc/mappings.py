@@ -33,17 +33,19 @@ from .core import (
     LevyTriplet,
     RadialComponent,
     SpectralMeasure,
+    batched_exponent,
     callable_segment,
     log_moment,
     power_segment,
 )
-from .errors import DomainError, ValidationError
-from .quadrature import quad_complex, quad_real
+from .errors import DomainError, QuadratureError, ValidationError
+from .quadrature import ABS_TOL, GK21_NODES, REL_TOL, gk21, quad_real
 
 __all__ = [
     "check_beta",
     "sigma_clock",
     "sigma_clock_deriv",
+    "radial_map",
     "j_beta",
     "j_beta_inverse",
     "i_map",
@@ -98,6 +100,12 @@ def sigma_clock_deriv(beta: float, s):
 # ---------------------------------------------------------------------------
 
 
+def _smear_kinks(seg: DensitySegment) -> tuple[float, ...]:
+    """Interior kinks of a smeared segment: the source's own, and its
+    lower support end, below which the inner integral stops moving."""
+    return (*seg.kinks, seg.lo) if seg.lo > 0 else seg.kinks
+
+
 def _smear_power_segment(seg: DensitySegment, beta: float) -> DensitySegment:
     """Closed-form smear of a power density ``c r^p`` on (lo, hi)."""
     c, p, lo, hi = seg.coef, seg.exponent, seg.lo, seg.hi
@@ -122,6 +130,7 @@ def _smear_power_segment(seg: DensitySegment, beta: float) -> DensitySegment:
         hi=hi,
         small_r_power=small,
         tail_mass_finite=True if seg.tail_mass_finite else seg.tail_mass_finite,
+        kinks=_smear_kinks(seg),
     )
 
 
@@ -154,6 +163,7 @@ def _smear_generic_segment(seg: DensitySegment, beta: float) -> DensitySegment:
         small_r_power=small,
         # the smear never increases mass outside a neighborhood of zero
         tail_mass_finite=True if seg.tail_mass_finite else seg.tail_mass_finite,
+        kinks=_smear_kinks(seg),
     )
 
 
@@ -191,6 +201,127 @@ def smear_triplet(triplet: LevyTriplet, beta: float) -> LevyTriplet:
 
 
 # ---------------------------------------------------------------------------
+# the batched radial transform
+# ---------------------------------------------------------------------------
+
+# rows per call to a source exponent; nested maps multiply their batches
+# by 21 per level, and the cap keeps each level's working set fixed
+ROW_CAP = 2048
+# subintervals one batch element may use, QUADPACK's limit in quad_real
+PANEL_LIMIT = 300
+_PANELS_PER_CALL = ROW_CAP // GK21_NODES.size
+
+
+def _evaluate(src, rows: np.ndarray) -> np.ndarray:
+    """``src`` on ``rows (m, dim)``, in calls of at most ``ROW_CAP`` rows."""
+    if len(rows) <= ROW_CAP:
+        return src(rows)
+    return np.concatenate([src(rows[i : i + ROW_CAP]) for i in range(0, len(rows), ROW_CAP)])
+
+
+def _panel_rules(src, Y, weight, power, elem, a, b):
+    """GK21 values and errors ``(p, 2)``, real and imaginary part, of each
+    panel ``(a, b)`` of batch element ``elem``."""
+    val = np.empty((len(elem), 2))
+    err = np.empty((len(elem), 2))
+    for start in range(0, len(elem), _PANELS_PER_CALL):
+        sl = slice(start, start + _PANELS_PER_CALL)
+        half = 0.5 * (b[sl] - a[sl])
+        t = (a[sl] + half)[:, None] + half[:, None] * GK21_NODES
+        u = t if power == 1.0 else t**power
+        rows = u[:, :, None] * Y[elem[sl]][:, None, :]
+        f = src(rows.reshape(-1, Y.shape[1])).reshape(t.shape)
+        if weight is not None:
+            f = f * weight(t)
+        val[sl, 0], err[sl, 0] = gk21(f.real, half)
+        val[sl, 1], err[sl, 1] = gk21(f.imag, half)
+    return val, err
+
+
+def _per_element(elem: np.ndarray, parts: np.ndarray, n: int) -> np.ndarray:
+    """Sums ``(n, 2)`` of the panel rows ``parts (p, 2)`` per batch element."""
+    return np.stack([np.bincount(elem, parts[:, 0], n), np.bincount(elem, parts[:, 1], n)], 1)
+
+
+def _radial_integral(src, Y, weight, power, lo, head) -> np.ndarray:
+    """``int_lo^1 w(t) phi(t**power y) dt`` for every row ``y`` of ``Y``.
+
+    Each row refines on its own: while its real or imaginary part misses
+    ``max(ABS_TOL, REL_TOL |part|)``, it bisects the panels whose error in
+    that part exceeds their length's share of the tolerance.  All pending
+    panels of the batch go to the source together.
+    """
+    n = len(Y)
+    out = np.zeros(n, dtype=complex)
+    if head is not None:
+        # two-term fit phi(u y) ~ C1 u + C2 u^2 on (0, lo) from phi at lo, lo/2
+        near = _evaluate(src, np.concatenate([lo * Y, 0.5 * lo * Y]))
+        A, B = near[:n], near[n:]
+        out += head[0] * (4.0 * B - A) + head[1] * (2.0 * A - 4.0 * B)
+    span = 1.0 - lo
+    # settled panels of unfinished elements, then the panels to evaluate
+    elem, a, b = np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
+    val, err = np.zeros((0, 2)), np.zeros((0, 2))
+    new_elem, new_a, new_b = np.arange(n), np.full(n, float(lo)), np.ones(n)
+    while len(new_elem):
+        new_val, new_err = _panel_rules(src, Y, weight, power, new_elem, new_a, new_b)
+        elem = np.concatenate([elem, new_elem])
+        a, b = np.concatenate([a, new_a]), np.concatenate([b, new_b])
+        val, err = np.concatenate([val, new_val]), np.concatenate([err, new_err])
+
+        total, total_err = _per_element(elem, val, n), _per_element(elem, err, n)
+        tol = np.maximum(ABS_TOL, REL_TOL * np.abs(total))
+        short = ~(total_err <= tol)  # a NaN error is short too
+        done = ~short.any(axis=1)
+        finished = np.unique(elem[done[elem]])
+        out[finished] += total[finished, 0] + 1j * total[finished, 1]
+
+        pending = ~done[elem]
+        share = (b - a) / span
+        split = pending & (short[elem] & ~(err <= tol[elem] * share[:, None])).any(axis=1)
+        count = np.bincount(elem[pending], minlength=n) + np.bincount(elem[split], minlength=n)
+        finite = np.isfinite(total).all(axis=1) & np.isfinite(total_err).all(axis=1)
+        stuck = np.flatnonzero((count > PANEL_LIMIT) | ~finite)
+        if len(stuck):
+            i = stuck[0]
+            part = int(np.argmax(np.nan_to_num(total_err[i] / tol[i], nan=np.inf)))
+            raise QuadratureError(
+                f"radial quadrature at y={Y[i].tolist()} did not converge: achieved "
+                f"abs error {total_err[i, part]:.3e}, requested {tol[i, part]:.3e}, "
+                f"with at most {PANEL_LIMIT} subintervals",
+                achieved=float(total_err[i, part]),
+                requested=float(tol[i, part]),
+            )
+        stay = pending & ~split
+        mid = 0.5 * (a[split] + b[split])
+        new_elem = np.repeat(elem[split], 2)
+        new_a = np.stack([a[split], mid], 1).ravel()
+        new_b = np.stack([mid, b[split]], 1).ravel()
+        elem, a, b, val, err = elem[stay], a[stay], b[stay], val[stay], err[stay]
+    return out
+
+
+def radial_map(mu: IdMeasure, weight, power: float = 1.0, lo: float = 0.0, head=None):
+    """Batched exponent ``y -> int_lo^1 w(t) phi(t**power y) dt``.
+
+    ``weight`` maps an array of ``t`` to ``w(t)`` (``None`` for 1); the
+    substitution ``u = t**power`` keeps an endpoint singularity of the
+    weight out of the integrand.  With ``lo > 0`` the part below ``lo``
+    comes from the two-term expansion ``phi(u y) ~ C1 u + C2 u^2`` fitted
+    at ``lo`` and ``lo/2``; ``head = (m1, m2)`` are the weight's moments
+    ``int_0^lo w(u) u du / lo`` and ``int_0^lo w(u) u^2 du / lo^2``.
+
+    The integral is QUADPACK's 21-point Gauss-Kronrod rule on panels that
+    every batch element bisects on its own until its real and imaginary
+    parts each meet ``max(ABS_TOL, REL_TOL |part|)``; an element that needs
+    more than ``PANEL_LIMIT`` panels raises :class:`QuadratureError`.
+    The source is called with at most ``ROW_CAP`` rows at a time.
+    """
+    src = mu.exponent
+    return batched_exponent(lambda Y: _radial_integral(src, Y, weight, power, lo, head))
+
+
+# ---------------------------------------------------------------------------
 # the mappings on exponents
 # ---------------------------------------------------------------------------
 
@@ -198,27 +329,18 @@ def smear_triplet(triplet: LevyTriplet, beta: float) -> LevyTriplet:
 def j_beta(mu: IdMeasure, beta: float) -> IdMeasure:
     """Generalized shrinking mapping at index ``beta``.
 
-    Exponent route: adaptive quadrature of ``phi(t**(1/beta) y)`` over
-    t in (0, 1), substituting ``u = t**(1/beta)`` when beta > 1 so the
-    integrand stays smooth at the left endpoint (for beta <= 1 the
-    unsubstituted kernel is already C^1 there, and the substituted
-    weight u**(beta-1) would introduce the singularity instead).
+    Exponent route: the integral of ``phi(t**(1/beta) y)`` over t in
+    (0, 1), substituting ``u = t**(1/beta)`` (weight ``beta u**(beta-1)``)
+    when beta > 1 so the integrand stays smooth at the left endpoint (for
+    beta <= 1 the unsubstituted kernel is already C^1 there, and the
+    substituted weight would introduce the singularity instead).
     Triplet route (when available): closed-form transform.
     """
     b = check_beta(beta)
-    src = mu.exponent
-
     if b > 1.0:
-
-        def phi(y, b=b, src=src):
-            return quad_complex(lambda u: b * u ** (b - 1.0) * src(u * y), 0.0, 1.0)
-
+        phi = radial_map(mu, lambda u: b * u ** (b - 1.0))
     else:
-        inv = 1.0 / b
-
-        def phi(y, inv=inv, src=src):
-            return quad_complex(lambda t: src(t**inv * y), 0.0, 1.0)
-
+        phi = radial_map(mu, None, power=1.0 / b)
     triplet = smear_triplet(mu.triplet, b) if mu.triplet is not None else None
     return IdMeasure(
         dim=mu.dim,
@@ -235,25 +357,26 @@ def j_beta_inverse(mu: IdMeasure, beta: float, step: float = 1e-5) -> IdMeasure:
 
     Recovers ``phi_nu(y)`` as the derivative at s = 1 of
     ``s * phi_mu(s**(1/beta) y)``, by central differences with one
-    Richardson extrapolation level.  No triplet is produced.
+    Richardson extrapolation level; the four points go to ``mu`` as one
+    batch.  No triplet is produced.
     """
     b = check_beta(beta)
     if not (0 < step < 0.5):
         raise ValidationError(f"finite-difference step out of range: {step}")
     src = mu.exponent
-    inv = 1.0 / b
+    s = 1.0 + step * np.array([1.0, -1.0, 0.5, -0.5])
+    scale = s ** (1.0 / b)
 
-    def phi(y, src=src, inv=inv, h=step):
-        def g(s: float) -> complex:
-            return s * src(s**inv * y)
-
-        d1 = (g(1.0 + h) - g(1.0 - h)) / (2.0 * h)
-        d2 = (g(1.0 + 0.5 * h) - g(1.0 - 0.5 * h)) / h
+    def phi(Y):
+        rows = (scale[:, None, None] * Y[None, :, :]).reshape(-1, Y.shape[1])
+        g = s[:, None] * _evaluate(src, rows).reshape(4, len(Y))
+        d1 = (g[0] - g[1]) / (2.0 * step)
+        d2 = (g[2] - g[3]) / step
         return (4.0 * d2 - d1) / 3.0
 
     return IdMeasure(
         dim=mu.dim,
-        exponent=phi,
+        exponent=batched_exponent(phi),
         label=f"jbeta-inv[{b:g}]({mu.label})",
     )
 
@@ -276,16 +399,6 @@ def _require_log_moment(mu: IdMeasure, assume_id_log: bool, what: str) -> None:
         )
 
 
-def _expansion_coeffs(src, y, delta: float) -> tuple[complex, complex, complex]:
-    """Two-term fit phi(u y) ~ C1 u + C2 u^2 from values at delta, delta/2.
-
-    Returns (C1*delta, C2*delta^2, phi(delta/2 * y)).
-    """
-    A = src(delta * y)
-    B = src(0.5 * delta * y)
-    return 4.0 * B - A, 2.0 * A - 4.0 * B, B
-
-
 def i_map(
     mu: IdMeasure, assume_id_log: bool = False, delta: float = SMALL_U_SPLIT
 ) -> IdMeasure:
@@ -293,23 +406,14 @@ def i_map(
 
     Exponent: integral over u in (0, 1] of ``phi(u y)/u``, split at
     ``delta``; below the split the integrand is integrated through the
-    two-term expansion of ``phi`` at the origin (exact remainder
-    ``2 phi(delta/2 y)`` for the fitted model).
+    two-term expansion of ``phi`` at the origin.
 
     Requires a finite log moment unless overridden.
     """
     _require_log_moment(mu, assume_id_log, "i_map")
-    src = mu.exponent
-
-    def phi(y, src=src, d=delta):
-        c1d, c2d2, _ = _expansion_coeffs(src, y, d)
-        remainder = c1d + 0.5 * c2d2
-        main = quad_complex(lambda u: src(u * y) / u, d, 1.0)
-        return main + remainder
-
     return IdMeasure(
         dim=mu.dim,
-        exponent=phi,
+        exponent=radial_map(mu, lambda u: 1.0 / u, lo=delta, head=(1.0, 0.5)),
         label=f"imap({mu.label})",
     )
 
@@ -328,24 +432,10 @@ def i_of_j_beta(
     """
     b = check_beta(beta)
     _require_log_moment(mu, assume_id_log, "i_of_j_beta")
-    src = mu.exponent
-
-    def phi(y, src=src, b=b, d=delta):
-        c1d, c2d2, _ = _expansion_coeffs(src, y, d)
-        remainder = (
-            c1d
-            + 0.5 * c2d2
-            - c1d * d**b / (b + 1.0)
-            - c2d2 * d**b / (b + 2.0)
-        )
-        main = quad_complex(
-            lambda u: src(u * y) * (1.0 / u - u ** (b - 1.0)), d, 1.0
-        )
-        return main + remainder
-
+    head = (1.0 - delta**b / (b + 1.0), 0.5 - delta**b / (b + 2.0))
     return IdMeasure(
         dim=mu.dim,
-        exponent=phi,
+        exponent=radial_map(mu, lambda u: 1.0 / u - u ** (b - 1.0), lo=delta, head=head),
         label=f"i-of-jbeta[{b:g}]({mu.label})",
     )
 
@@ -360,23 +450,10 @@ def corollary1a_kernel(mu: IdMeasure, beta: float) -> IdMeasure:
     2*beta, which is a tested identity.
     """
     b = check_beta(beta)
-    src = mu.exponent
-
     if b > 1.0:
-
-        def phi(y, b=b, src=src):
-            return quad_complex(
-                lambda u: 2.0 * b * u ** (b - 1.0) * (1.0 - u**b) * src(u * y),
-                0.0,
-                1.0,
-            )
-
+        phi = radial_map(mu, lambda u: 2.0 * b * u ** (b - 1.0) * (1.0 - u**b))
     else:
-        inv = 1.0 / b
-
-        def phi(y, inv=inv, src=src):
-            return quad_complex(lambda v: 2.0 * (1.0 - v) * src(v**inv * y), 0.0, 1.0)
-
+        phi = radial_map(mu, lambda v: 2.0 * (1.0 - v), power=1.0 / b)
     return IdMeasure(
         dim=mu.dim,
         exponent=phi,

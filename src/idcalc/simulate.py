@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import LevyTriplet, SpectralMeasure, _segment_mass
+from .core import LevyTriplet, SpectralMeasure, _segment_mass, as_batched
 from .errors import ValidationError
 from .mappings import check_beta, sigma_clock
 from .quadrature import tail_quad
@@ -454,9 +454,10 @@ def cf_distance_test(
     leaves no statistical band; such points are judged against
     ``det_tol`` when the caller supplies a discretization allowance,
     otherwise the whole run comes back "inconclusive".  Sample counts
-    below ``n_min`` are always inconclusive.
+    below ``n_min`` are always inconclusive.  The exponent is evaluated
+    on the whole grid as one batch.
     """
-    target = np.array([np.exp(complex(exponent(y))) for y in est.grid])
+    target = np.exp(as_batched(exponent)(est.grid))
     diff = np.abs(est.values - target)
     z = np.zeros(len(diff))
     degenerate = False

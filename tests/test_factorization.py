@@ -209,6 +209,36 @@ def test_cor5_heavy_tail_source(beta):
     assert rep.passed, rep.summary()
 
 
+def test_cor5_kink_of_smeared_density_is_a_break_point(monkeypatch):
+    # an exp density starting at lo > 0 smears to a density that bends at
+    # lo; below that radius the test intervals cross the bend, and must cost
+    # about what the same density from 0 costs
+    from idcalc import core, factorization, mappings, measure_from_spec, quadrature
+
+    evals = [0]
+    plain = quadrature.quad_real
+
+    def counting(f, *args, **kwargs):
+        def g(t):
+            evals[0] += 1
+            return f(t)
+
+        return plain(g, *args, **kwargs)
+
+    for mod in (core, mappings, factorization):
+        monkeypatch.setattr(mod, "quad_real", counting)
+    cost = {}
+    for lo in (0.5, 0.0):
+        dens = {"lo": lo, "hi": "inf", "kind": "exp", "coef": 0.6, "exponent": 0, "rate": 2}
+        ray = {"direction": [1.0], "atoms": [{"r": 0.7, "w": 0.5}], "densities": [dens]}
+        G = measure_from_spec({"dim": 1, "spectral": {"rays": [ray]}}).triplet.M
+        evals[0] = 0
+        rep = verify_corollary5(G, 1.0, mesh=dyadic_mesh(2, 3))
+        assert rep.passed, rep.summary()
+        cost[lo] = evals[0]
+    assert cost[0.5] <= 3 * cost[0.0], cost
+
+
 def test_dyadic_mesh_span():
     mesh = dyadic_mesh()
     assert len(mesh) == 10

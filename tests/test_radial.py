@@ -1,0 +1,171 @@
+"""The batched exponent contract and the radial transform behind every mapping."""
+
+import numpy as np
+import pytest
+from scipy.special import spence
+
+from idcalc import (
+    IdMeasure,
+    QuadratureError,
+    ValidationError,
+    batched_exponent,
+    conv_power,
+    convolve,
+    corollary1a_kernel,
+    default_grid,
+    dirac,
+    factor_rho,
+    gamma,
+    gaussian,
+    i_map,
+    i_of_j_beta,
+    j_beta,
+    j_beta_inverse,
+    poisson,
+    radial_map,
+)
+from idcalc.quadrature import ABS_TOL, REL_TOL
+
+BETAS = (0.5, 1.0, 2.0)
+MAPPINGS = {
+    "jbeta": lambda mu, b: j_beta(mu, b),
+    "jbeta-inv": lambda mu, b: j_beta_inverse(mu, b),
+    "imap": lambda mu, b: i_map(mu),
+    "i-of-jbeta": lambda mu, b: i_of_j_beta(mu, b),
+    "cor1a": lambda mu, b: corollary1a_kernel(mu, b),
+}
+# wide enough that some rows refine further than others
+BATCH = np.array([-100.0, -5.0, -1.0, -0.1, 0.0, 0.1, 0.5, 2.0, 20.0]).reshape(-1, 1)
+
+
+def counted(mu):
+    """``mu`` with an exponent that records every batch it is called on."""
+    batches = []
+    src = mu.exponent
+
+    def f(Y):
+        batches.append(np.array(Y))
+        return src(Y)
+
+    return IdMeasure(mu.dim, batched_exponent(f), log_moment_known=True), batches
+
+
+# ---------------------------------------------------------------------------
+# batch versus point
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(MAPPINGS))
+@pytest.mark.parametrize("beta", BETAS)
+@pytest.mark.parametrize("seed", ("gamma", "poisson"))
+def test_batch_equals_pointwise(name, beta, seed):
+    mu = {"gamma": gamma(1.0, 1.0), "poisson": poisson(1.0, 2.0)}[seed]
+    out = MAPPINGS[name](mu, beta)
+    batch = out.exponent(BATCH)
+    assert batch.shape == (len(BATCH),)
+    for y, z in zip(BATCH, batch):
+        assert abs(z - out.exponent(y)) <= 1e-13
+
+
+def test_batch_equals_pointwise_nested_2d():
+    mu = gaussian(cov=[[2.0, 0.5], [0.5, 1.0]], shift=[0.3, -0.2])
+    out = i_map(j_beta(mu, 2.0))
+    grid = default_grid(2)[::7]
+    batch = out.exponent(grid)
+    for y, z in zip(grid, batch):
+        assert abs(z - out.exponent(y)) <= 1e-13
+
+
+def test_easy_element_pays_what_it_pays_alone():
+    # rows of the easy y are the negative ones; the hard y=+100 refines more
+    mu, batches = counted(gamma(1.0, 1.0))
+    out = i_map(mu)
+    alone = out.exponent(np.array([[-0.1]]))
+    easy_alone = sum(int((Y[:, 0] < 0).sum()) for Y in batches)
+    batches.clear()
+    both = out.exponent(np.array([[-0.1], [100.0]]))
+    easy_mixed = sum(int((Y[:, 0] < 0).sum()) for Y in batches)
+    hard = sum(int((Y[:, 0] > 0).sum()) for Y in batches)
+    assert both[0] == alone[0]
+    assert easy_mixed == easy_alone
+    assert hard > easy_alone
+
+
+# ---------------------------------------------------------------------------
+# accuracy and failure
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k, lam", [(1.0, 1.0), (2.5, 0.5)])
+def test_imap_gamma_dilogarithm(k, lam):
+    # I(gamma(k, lam))(y) = k Li2(i y/lam), and Li2(z) = spence(1 - z)
+    y = np.array([-100.0, -30.0, -5.0, -0.1, 0.1, 1.0, 2.0, 5.0, 10.0, 60.0, 100.0])
+    got = i_map(gamma(k, lam)).exponent(y.reshape(-1, 1))
+    want = k * spence(1.0 - 1j * y / lam)
+    for part in (np.real, np.imag):
+        assert np.all(np.abs(part(got) - part(want)) <= np.maximum(ABS_TOL, REL_TOL * np.abs(part(want))))
+
+
+def test_nonintegrable_integrand_raises_with_errors():
+    # phi(u y) = i u y against 1/u^2: the integrand i y/u is not integrable at 0
+    phi = radial_map(dirac([1.0]), lambda u: 1.0 / u**2)
+    with pytest.raises(QuadratureError) as info:
+        phi(np.array([[1.0], [0.5]]))
+    err = info.value
+    assert err.achieved is not None and err.requested is not None
+    assert err.achieved > err.requested > 0
+
+
+def test_row_cap_bounds_every_source_call():
+    from idcalc.mappings import ROW_CAP
+
+    mu, batches = counted(gamma(1.0, 1.0))
+    j_beta(j_beta(mu, 1.0), 2.0).exponent(default_grid(1))
+    assert batches and max(len(Y) for Y in batches) <= ROW_CAP
+
+
+# ---------------------------------------------------------------------------
+# construction
+# ---------------------------------------------------------------------------
+
+
+def transforms(mu):
+    for b in BETAS:
+        yield j_beta(mu, b)
+        yield j_beta_inverse(mu, b)
+        yield i_of_j_beta(mu, b, assume_id_log=True)
+        yield corollary1a_kernel(mu, b)
+        yield factor_rho(mu, b)
+    yield i_map(mu, assume_id_log=True)
+    yield convolve(mu, mu)
+    yield conv_power(mu, 0.5)
+
+
+@pytest.mark.parametrize("mu", [gamma(1.0, 1.0), poisson(1.0, 2.0), gaussian(cov=[[1.0, 0.2], [0.2, 2.0]])])
+def test_every_transform_vanishes_at_zero(mu):
+    for out in transforms(mu):
+        assert out.exponent(np.zeros(mu.dim)) == 0, out.label
+        assert out.exponent(np.zeros((2, mu.dim))).tolist() == [0j, 0j], out.label
+
+
+def test_nested_build_makes_no_leaf_calls():
+    mu, batches = counted(gamma(1.0, 1.0))
+    mu = IdMeasure.from_exponent(1, mu.exponent, log_moment_known=True)
+    batches.clear()
+    for _ in range(4):
+        mu = j_beta(mu, 1.0)
+    assert batches == []
+    mu.exponent(np.array([1.0]))
+    assert batches
+
+
+def test_supplied_exponents_are_checked_and_lifted():
+    with pytest.raises(ValidationError):
+        IdMeasure.from_exponent(1, lambda y: 1.0 + 0j)
+    with pytest.raises(ValidationError):
+        IdMeasure.from_triplet(gamma(1.0, 1.0).triplet, exponent=lambda y: 1.0 + 0j)
+    # a one-vector callable is lifted with a row loop
+    mu = IdMeasure.from_exponent(1, lambda y: -0.5 * float(y[0]) ** 2)
+    grid = default_grid(1)
+    assert np.array_equal(mu.exponent(grid), -0.5 * grid[:, 0] ** 2)
+    assert mu.exponent(np.array([2.0])) == -2.0
