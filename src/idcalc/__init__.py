@@ -32,7 +32,6 @@ from .mappings import (
     j_beta_inverse,
     radial_map,
     sigma_clock,
-    sigma_clock_deriv,
     smear_spectral,
     smear_triplet,
 )
@@ -40,7 +39,6 @@ from .reports import VerificationReport, grid_check, validate_report
 from .simulate import (
     CfTestResult,
     EcfEstimate,
-    IncrementBatch,
     KernelIntegralSpec,
     PathConfig,
     cf_distance_test,
@@ -50,7 +48,6 @@ from .simulate import (
     imap_integral_spec,
     jbeta_integral_spec,
     sample_integral,
-    sample_levy_increments,
 )
 from .verify import IDENTITIES, default_seed_measures, run_all, verify_identity
 

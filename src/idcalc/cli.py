@@ -5,7 +5,8 @@ Subcommands: ``exponent`` (evaluate a measure's exponent on a grid),
 background factor and verify the factorization), ``verify`` (run named
 identity checks or the full matrix), ``simulate`` (sample a random
 integral and test its ecf), ``levy-area`` (stochastic-area closed
-forms).
+forms).  Each one loads its input, calls one verifier or report builder
+and writes that report; ``exponent`` is ``map`` without a mapping.
 
 Exit codes: 0 success and all requested verifications pass, 2 input or
 validation problem, 3 numerical failure (non-convergent quadrature or a
@@ -26,22 +27,19 @@ import numpy as np
 from .core import default_grid
 from .errors import DomainError, IdcalcError, QuadratureError, ValidationError
 from .families import load_measure
-from .levyarea import AreaParams, area_csv_rows, verify_levy_area
+from .levyarea import AreaParams, nu_exponent, verify_levy_area
 from .mappings import corollary1a_kernel, i_map, i_of_j_beta, j_beta, j_beta_inverse
 from .factorization import factor_rho, verify_prop1
-from .reports import VerificationReport, validate_report
+from .reports import VerificationReport, exponent_report, validate_report
 from .simulate import (
     PathConfig,
-    cf_distance_test,
     clocked_integral_spec,
     cor1a_integral_spec,
-    ecf,
     imap_integral_spec,
     jbeta_integral_spec,
-    sample_integral,
     write_samples_csv,
 )
-from .verify import IDENTITIES, run_all, verify_identity
+from .verify import IDENTITIES, mc_report, run_all, sample_measure, verify_identity
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -55,16 +53,17 @@ _MAPPINGS = {
     "cor1a": lambda mu, b: corollary1a_kernel(mu, b),
 }
 
+# each integral's sampling spec, and the _MAPPINGS entry that gives its law
 _INTEGRALS = {
-    "jbeta": lambda b, s_max: jbeta_integral_spec(b),
-    "imap": lambda b, s_max: imap_integral_spec(s_max),
-    "clocked": lambda b, s_max: clocked_integral_spec(b, s_max),
-    "cor1a": lambda b, s_max: cor1a_integral_spec(b),
+    "jbeta": (lambda b, s_max: jbeta_integral_spec(b), "jbeta"),
+    "imap": (lambda b, s_max: imap_integral_spec(s_max), "imap"),
+    "clocked": (lambda b, s_max: clocked_integral_spec(b, s_max), "i-of-jbeta"),
+    "cor1a": (lambda b, s_max: cor1a_integral_spec(b), "cor1a"),
 }
 
 
 def _grid_from_args(args, dim: int) -> np.ndarray:
-    if getattr(args, "grid", None):
+    if args.grid:
         if dim != 1:
             raise ValidationError("--grid accepts scalars, available for 1-d measures")
         return np.asarray(args.grid, dtype=float).reshape(-1, 1)
@@ -72,48 +71,52 @@ def _grid_from_args(args, dim: int) -> np.ndarray:
 
 
 def _path_config(args) -> PathConfig:
-    return PathConfig(
-        step=args.mc_step,
-        horizon=args.mc_horizon,
-        small_jump_cutoff=args.mc_cutoff,
-        gaussian_correction=not args.mc_no_correction,
-    )
+    return PathConfig(step=args.mc_step, small_jump_cutoff=args.mc_cutoff)
 
 
-def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+def _write_csv(path, header: list, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
-def _emit_reports(reports: list[VerificationReport], out) -> None:
+def _y_cell(y):
+    """A frequency as one CSV cell: the number on 1-d grids, else the vector."""
+    y = [float(v) for v in y]
+    return y[0] if len(y) == 1 else y
+
+
+def _finish(reports: list[VerificationReport], out) -> int:
+    """Validate, write and print the reports; exit 0 only if all passed."""
     docs = [r.to_dict() for r in reports]
     for doc in docs:
         validate_report(doc)
     if out:
         payload = docs[0] if len(docs) == 1 else {"reports": docs, "pass": all(d["pass"] for d in docs)}
-        _write_json(out, payload)
+        Path(out).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     for r in reports:
         print(r.summary())
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_NUMERICAL
 
 
 def _add_measure_arg(p, required=True):
     p.add_argument("--measure", required=required, help="path to a measure-spec JSON file")
 
 
-def _add_common(p):
+def _add_outputs(p, with_csv=True):
     p.add_argument("--grid", type=float, nargs="+", help="frequency grid (1-d measures)")
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--csv", help="write plot-ready CSV here")
+    if with_csv:
+        p.add_argument("--csv", help="write plot-ready CSV here")
 
 
 def _add_mc(p):
     p.add_argument("--mc.n", dest="mc_n", type=int, default=100_000,
                    help="Monte Carlo sample count (0 disables the MC layer)")
     p.add_argument("--mc.step", dest="mc_step", type=float, default=1e-3)
-    p.add_argument("--mc.horizon", dest="mc_horizon", type=float, default=1.0)
     p.add_argument("--mc.cutoff", dest="mc_cutoff", type=float, default=1e-3)
     p.add_argument("--mc.smax", dest="mc_smax", type=float, default=20.0)
-    p.add_argument("--mc.no-correction", dest="mc_no_correction", action="store_true",
-                   help="disable the small-jump Gaussian correction")
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -127,18 +130,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exponent", help="evaluate a measure's exponent on a grid")
     _add_measure_arg(p)
-    _add_common(p)
+    _add_outputs(p)
+    p.set_defaults(mapping=None, beta=None)
 
     p = sub.add_parser("map", help="apply a mapping and evaluate the result")
     _add_measure_arg(p)
     p.add_argument("--mapping", choices=sorted(_MAPPINGS), default="jbeta")
     p.add_argument("--beta", type=float, default=1.0)
-    _add_common(p)
+    _add_outputs(p)
 
     p = sub.add_parser("factor", help="background factor and factorization check")
     _add_measure_arg(p)
     p.add_argument("--beta", type=float, default=1.0)
-    _add_common(p)
+    _add_outputs(p)
 
     p = sub.add_parser("verify", help="run identity verifications")
     _add_measure_arg(p, required=False)
@@ -147,67 +151,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--u", type=float, default=1.0, help="conditioning time for levyarea")
     _add_mc(p)
-    _add_common(p)
+    _add_outputs(p, with_csv=False)
 
     p = sub.add_parser("simulate", help="sample a random integral, test its ecf")
     _add_measure_arg(p)
     p.add_argument("--integral", choices=sorted(_INTEGRALS), default="jbeta")
     p.add_argument("--beta", type=float, default=1.0)
     _add_mc(p)
-    _add_common(p)
+    _add_outputs(p)
 
     p = sub.add_parser("levy-area", help="stochastic-area closed forms and check")
     p.add_argument("--u", type=float, default=1.0)
-    _add_common(p)
+    _add_outputs(p)
 
     return ap
 
 
-def _exponent_points(exponent, grid: np.ndarray) -> list:
-    """Report points of an exponent evaluated on the grid as one batch."""
-    return [
-        {"y": [float(v) for v in y], "re": float(z.real), "im": float(z.imag)}
-        for y, z in zip(grid, exponent(grid))
-    ]
-
-
-def _cmd_exponent(args) -> int:
-    mu = load_measure(args.measure)
-    grid = _grid_from_args(args, mu.dim)
-    points = _exponent_points(mu.exponent, grid)
-    report = VerificationReport(
-        identity="exponent",
-        grid_max_abs=0.0,
-        passed=True,
-        tolerance=None,
-        points=points,
-        notes=[f"measure {mu.label}"],
-    )
-    _emit_reports([report], args.out)
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["y", "re", "im"])
-            for p in points:
-                w.writerow([p["y"][0] if len(p["y"]) == 1 else p["y"], p["re"], p["im"]])
-    return EXIT_OK
-
-
 def _cmd_map(args) -> int:
     mu = load_measure(args.measure)
-    mapped = _MAPPINGS[args.mapping](mu, args.beta)
     grid = _grid_from_args(args, mu.dim)
-    points = _exponent_points(mapped.exponent, grid)
-    report = VerificationReport(
-        identity=f"map:{args.mapping}",
-        grid_max_abs=0.0,
-        passed=True,
-        beta=args.beta if args.mapping != "imap" else None,
-        points=points,
-        notes=[f"measure {mu.label}", f"result {mapped.label}"],
-    )
-    _emit_reports([report], args.out)
-    return EXIT_OK
+    if args.mapping is None:
+        report = exponent_report("exponent", mu, grid, notes=[f"measure {mu.label}"])
+    else:
+        mapped = _MAPPINGS[args.mapping](mu, args.beta)
+        report = exponent_report(
+            f"map:{args.mapping}", mapped, grid,
+            beta=None if args.mapping == "imap" else args.beta,
+            notes=[f"measure {mu.label}", f"result {mapped.label}"],
+        )
+    if args.csv:
+        _write_csv(args.csv, ["y", "re", "im"],
+                   [(_y_cell(p["y"]), p["re"], p["im"]) for p in report.points])
+    return _finish([report], args.out)
 
 
 def _cmd_factor(args) -> int:
@@ -217,92 +192,68 @@ def _cmd_factor(args) -> int:
     report = verify_prop1(mu, args.beta, grid)
     report.notes.append(f"factor {rho.label}")
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["y", "rho_re", "rho_im"])
-            for y, z in zip(grid, rho.exponent(grid)):
-                w.writerow([y[0] if len(y) == 1 else list(y), z.real, z.imag])
-    _emit_reports([report], args.out)
-    return EXIT_OK if report.passed else EXIT_NUMERICAL
+        _write_csv(args.csv, ["y", "rho_re", "rho_im"],
+                   [(_y_cell(y), z.real, z.imag) for y, z in zip(grid, rho.exponent(grid))])
+    return _finish([report], args.out)
 
 
 def _cmd_verify(args) -> int:
     mu = load_measure(args.measure) if args.measure else None
     cfg = _path_config(args)
     if args.all:
+        if args.grid:
+            raise ValidationError("--grid applies to --identity; --all runs on the default grids")
         reports = run_all(measure=mu, mc_cfg=cfg, mc_n=args.mc_n, seed=args.seed)
     else:
         if not args.identity:
             raise ValidationError("verify needs --identity NAME or --all")
-        grid = _grid_from_args(args, mu.dim) if mu is not None else None
+        # the stochastic-area law is 1-d whatever measure is given
+        dim = mu.dim if mu is not None and args.identity != "levyarea" else 1
         reports = verify_identity(
             args.identity,
             measure=mu,
             beta=args.beta,
-            grid=grid,
+            grid=_grid_from_args(args, dim),
             mc_cfg=cfg,
             mc_n=args.mc_n,
             mc_s_max=args.mc_smax,
             seed=args.seed,
             u=args.u,
         )
-    _emit_reports(reports, args.out)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_NUMERICAL
+    return _finish(reports, args.out)
 
 
 def _cmd_simulate(args) -> int:
     mu = load_measure(args.measure)
-    if mu.triplet is None:
-        raise ValidationError(f"{mu.label} has no triplet; cannot simulate")
+    make_spec, mapping = _INTEGRALS[args.integral]
+    spec = make_spec(args.beta, args.mc_smax)
     cfg = _path_config(args)
-    spec = _INTEGRALS[args.integral](args.beta, args.mc_smax)
-    n = max(args.mc_n, 2)
-    samples = sample_integral(mu.triplet, spec, cfg, n, args.seed)
+    samples = sample_measure(mu, spec, cfg, max(args.mc_n, 2), args.seed)
     if args.csv:
         write_samples_csv(args.csv, samples)
-    reference = {
-        "jbeta": lambda: j_beta(mu, args.beta),
-        "imap": lambda: i_map(mu),
-        "clocked": lambda: i_of_j_beta(mu, args.beta),
-        "cor1a": lambda: corollary1a_kernel(mu, args.beta),
-    }[args.integral]()
-    grid = _grid_from_args(args, mu.dim)
-    est = ecf(samples, grid)
-    det_band = 8.0 * cfg.step * (1.0 + float(np.abs(grid).max()))
-    res = cf_distance_test(est, reference.exponent, det_tol=det_band)
-    report = VerificationReport(
-        identity=f"simulate:{args.integral}",
-        grid_max_abs=res.max_z if np.isfinite(res.max_z) else float("inf"),
-        passed=res.passed,
-        beta=args.beta,
-        tolerance=4.0,
-        metric="z_score",
-        points=[
-            {"y": [float(v) for v in y], "z": None if not np.isfinite(z) else float(z)}
-            for y, z in zip(grid, res.z_scores)
-        ],
-        notes=[f"status={res.status}", f"measure {mu.label}", f"target {spec.target}"],
-        extra={"n_samples": n, "seed": args.seed, "step": cfg.step},
+    report = mc_report(
+        f"simulate:{args.integral}", samples, spec, _MAPPINGS[mapping](mu, args.beta),
+        _grid_from_args(args, mu.dim), cfg, args.beta, args.seed,
+        notes=[f"measure {mu.label}", f"target {spec.target}"],
     )
-    _emit_reports([report], args.out)
-    return EXIT_OK if res.passed else EXIT_NUMERICAL
+    return _finish([report], args.out)
 
 
 def _cmd_levy_area(args) -> int:
     params = AreaParams(u=args.u)
-    report = verify_levy_area(params)
+    report = verify_levy_area(params, _grid_from_args(args, 1))
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "background_exponent", "log_sinh_factor", "mapped", "abs_diff"])
-            for row in area_csv_rows(params):
-                w.writerow(row)
-    _emit_reports([report], args.out)
-    return EXIT_OK if report.passed else EXIT_NUMERICAL
+        t = np.array([p["t"] for p in report.points])
+        _write_csv(
+            args.csv, ["t", "background_exponent", "log_sinh_factor", "mapped", "abs_diff"],
+            [(p["t"], bg, p["log_sinh_factor"][0], p["mapped"][0], p["abs_diff"])
+             for p, bg in zip(report.points, nu_exponent(params, t).real)],
+        )
+    return _finish([report], args.out)
 
 
 _COMMANDS = {
-    "exponent": _cmd_exponent,
+    "exponent": _cmd_map,
     "map": _cmd_map,
     "factor": _cmd_factor,
     "verify": _cmd_verify,

@@ -37,7 +37,6 @@ __all__ = [
     "area_measure",
     "chi",
     "verify_levy_area",
-    "area_csv_rows",
 ]
 
 COTH_NOTE = (
@@ -197,17 +196,3 @@ def verify_levy_area(
         },
     )
 
-
-def area_csv_rows(params: AreaParams, grid: Optional[np.ndarray] = None):
-    """Rows ``(t, background exponent, log sinh factor, mapped, abs diff)``."""
-    if grid is None:
-        grid = default_grid(1)
-    grid = np.asarray(grid, dtype=float).reshape(-1, 1)
-    t = grid[:, 0]
-    phi_nu = nu_exponent(params, t).real
-    target = sinh_factor_exponent(params, t).real
-    got = i_map(area_measure(params)).exponent(grid)
-    return [
-        (float(ti), float(p), float(w), float(g.real), float(abs(g - w)))
-        for ti, p, w, g in zip(t, phi_nu, target, got)
-    ]

@@ -44,7 +44,6 @@ from .quadrature import ABS_TOL, GK21_NODES, REL_TOL, gk21, quad_real
 __all__ = [
     "check_beta",
     "sigma_clock",
-    "sigma_clock_deriv",
     "radial_map",
     "j_beta",
     "j_beta_inverse",
@@ -84,14 +83,6 @@ def sigma_clock(beta: float, s):
         raise ValidationError("clock argument must be >= 0")
     # expm1 keeps accuracy where s + (exp(-b s) - 1)/b nearly cancels
     out = s + np.expm1(-b * s) / b
-    return out if out.ndim else float(out)
-
-
-def sigma_clock_deriv(beta: float, s):
-    """Derivative ``1 - exp(-beta*s)`` of the inner clock."""
-    b = check_beta(beta)
-    s = np.asarray(s, dtype=float)
-    out = -np.expm1(-b * s)
     return out if out.ndim else float(out)
 
 

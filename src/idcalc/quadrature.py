@@ -110,14 +110,7 @@ def quad_real(
     return value
 
 
-def quad_complex(
-    f: Callable[[float], complex],
-    a: float,
-    b: float,
-    points: Optional[Sequence[float]] = None,
-    rel_tol: float = REL_TOL,
-    abs_tol: float = ABS_TOL,
-) -> complex:
+def quad_complex(f: Callable[[float], complex], a: float, b: float) -> complex:
     """Integrate a complex-valued integrand part by part.
 
     The integrand value is cached per node so the real and imaginary
@@ -132,81 +125,57 @@ def quad_complex(
             cache[t] = z
         return z
 
-    re = quad_real(lambda t: ev(t).real, a, b, points, rel_tol, abs_tol)
-    im = quad_real(lambda t: ev(t).imag, a, b, points, rel_tol, abs_tol)
+    re = quad_real(lambda t: ev(t).real, a, b)
+    im = quad_real(lambda t: ev(t).imag, a, b)
     return complex(re, im)
 
 
-def tail_quad(
-    f: Callable[[float], float],
-    a: float,
-    rel_tol: float = REL_TOL,
-    abs_tol: float = ABS_TOL,
-    growth: float = 4.0,
-    max_stages: int = 40,
-) -> tuple[float, bool]:
+# each stage moves the open end of a staged integral by this factor
+_STAGE_FACTOR = 4.0
+_MAX_STAGES = 40
+
+
+def _staged_quad(f, lo: float, hi: float, next_piece) -> tuple[float, bool]:
+    """Sum ``f`` over the piece ``(lo, hi)`` and the pieces that
+    ``next_piece(lo, hi)`` yields after it, until two increments in a row
+    are negligible.  Returns ``(value, converged)``."""
+    try:
+        total = quad_real(f, lo, hi)
+    except QuadratureError:
+        return np.nan, False
+    small_streak = 0
+    for _ in range(_MAX_STAGES):
+        lo, hi = next_piece(lo, hi)
+        try:
+            inc = quad_real(f, lo, hi)
+        except QuadratureError:
+            return total, False
+        total += inc
+        if not np.isfinite(total) or abs(total) > 1e12:
+            return total, False
+        if abs(inc) <= max(10.0 * ABS_TOL, REL_TOL * abs(total)):
+            small_streak += 1
+            if small_streak >= 2:
+                return total, True
+        else:
+            small_streak = 0
+    return total, False
+
+
+def tail_quad(f: Callable[[float], float], a: float) -> tuple[float, bool]:
     """Integrate ``f`` over ``(a, inf)`` on a growing cutoff sequence.
 
     Returns ``(value, converged)``.  ``converged`` is False when the
     partial integrals fail to stabilize, which is how callers detect a
     (numerically) divergent tail without pretending to prove divergence.
     """
-    b = max(2.0 * a, 10.0)
-    try:
-        total = quad_real(f, a, b, rel_tol=rel_tol, abs_tol=abs_tol)
-    except QuadratureError:
-        return np.nan, False
-    small_streak = 0
-    for _ in range(max_stages):
-        try:
-            inc = quad_real(f, b, growth * b, rel_tol=rel_tol, abs_tol=abs_tol)
-        except QuadratureError:
-            return total, False
-        total += inc
-        b *= growth
-        if not np.isfinite(total) or abs(total) > 1e12:
-            return total, False
-        if abs(inc) <= max(10.0 * abs_tol, rel_tol * abs(total)):
-            small_streak += 1
-            if small_streak >= 2:
-                return total, True
-        else:
-            small_streak = 0
-    return total, False
+    return _staged_quad(f, a, max(2.0 * a, 10.0), lambda lo, hi: (hi, _STAGE_FACTOR * hi))
 
 
-def head_quad(
-    f: Callable[[float], float],
-    b: float,
-    rel_tol: float = REL_TOL,
-    abs_tol: float = ABS_TOL,
-    shrink: float = 4.0,
-    max_stages: int = 40,
-) -> tuple[float, bool]:
+def head_quad(f: Callable[[float], float], b: float) -> tuple[float, bool]:
     """Integrate ``f`` over ``(0, b]`` on a shrinking cutoff sequence.
 
     Same convergence contract as :func:`tail_quad`, used to probe
     integrability at the origin.
     """
-    a = b / shrink
-    try:
-        total = quad_real(f, a, b, rel_tol=rel_tol, abs_tol=abs_tol)
-    except QuadratureError:
-        return np.nan, False
-    small_streak = 0
-    for _ in range(max_stages):
-        try:
-            inc = quad_real(f, a / shrink, a, rel_tol=rel_tol, abs_tol=abs_tol)
-        except QuadratureError:
-            return total, False
-        total += inc
-        a /= shrink
-        if not np.isfinite(total) or abs(total) > 1e12:
-            return total, False
-        if abs(inc) <= max(10.0 * abs_tol, rel_tol * abs(total)):
-            small_streak += 1
-            if small_streak >= 2:
-                return total, True
-        else:
-            small_streak = 0
-    return total, False
+    return _staged_quad(f, b / _STAGE_FACTOR, b, lambda lo, hi: (lo / _STAGE_FACTOR, lo))

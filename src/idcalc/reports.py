@@ -9,9 +9,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import as_batched
+from .core import IdMeasure, as_batched
 
-__all__ = ["VerificationReport", "grid_check", "report_schema", "validate_report"]
+__all__ = [
+    "VerificationReport",
+    "exponent_report",
+    "grid_check",
+    "report_schema",
+    "validate_report",
+]
 
 
 @dataclass
@@ -45,9 +51,6 @@ class VerificationReport:
             "notes": list(self.notes),
             "extra": self.extra,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -95,6 +98,29 @@ def grid_check(
         beta=beta,
         tolerance=tol,
         metric="abs_diff",
+        points=points,
+        notes=list(notes),
+    )
+
+
+def exponent_report(
+    identity: str,
+    measure: IdMeasure,
+    grid: np.ndarray,
+    beta: Optional[float] = None,
+    notes: Sequence[str] = (),
+) -> VerificationReport:
+    """A measure's exponent on the grid, evaluated as one batch.  It
+    compares nothing, so it passes whenever the evaluation succeeds."""
+    points = [
+        {"y": [float(v) for v in y], "re": float(z.real), "im": float(z.imag)}
+        for y, z in zip(grid, measure.exponent(grid))
+    ]
+    return VerificationReport(
+        identity=identity,
+        grid_max_abs=0.0,
+        passed=True,
+        beta=beta,
         points=points,
         notes=list(notes),
     )

@@ -1,5 +1,5 @@
-"""Monte Carlo layer: Levy increment streams, random-integral sampling,
-empirical characteristic functions, and distributional equality tests.
+"""Monte Carlo layer: random-integral sampling, empirical characteristic
+functions, and distributional equality tests.
 
 The sampler discretizes the driving process on a uniform mesh in the
 integration variable, applies the deterministic time change through the
@@ -12,15 +12,12 @@ Poisson process mapped onto mesh cells.  This reproduces the law of the
 stepwise scheme exactly while keeping runtime flat in the step count.
 
 Randomness comes from counter-based Philox streams keyed by
-``(seed, chunk index)``, so results are reproducible and independent of
-worker count; ``IDCALC_THREADS`` caps the thread fan-out.
+``(seed, chunk index)``, so results are reproducible.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -38,8 +35,6 @@ __all__ = [
     "imap_integral_spec",
     "clocked_integral_spec",
     "cor1a_integral_spec",
-    "IncrementBatch",
-    "sample_levy_increments",
     "sample_integral",
     "EcfEstimate",
     "ecf",
@@ -49,17 +44,8 @@ __all__ = [
 ]
 
 _CHUNK = 8192
-_INCREMENT_STREAM = 1 << 62
 # kernel tail of the exponential integrand must contribute < 1e-4
 _TAIL_BUDGET = 1e-4
-
-
-def _max_workers() -> int:
-    raw = os.environ.get("IDCALC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -69,18 +55,15 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class PathConfig:
-    """Discretization parameters for the driving Levy process."""
+    """Discretization of the driving Levy process: the mesh step, and the
+    radius below which jumps are replaced by their Gaussian correction."""
 
     step: float = 1e-3
-    horizon: float = 1.0
     small_jump_cutoff: float = 1e-3
-    gaussian_correction: bool = True
 
     def __post_init__(self):
-        if not (0 < self.step <= self.horizon):
-            raise ValidationError(
-                f"need 0 < step <= horizon, got step={self.step}, horizon={self.horizon}"
-            )
+        if not (0 < self.step <= 1.0):
+            raise ValidationError(f"mesh step must lie in (0, 1], got {self.step}")
         if not (0 < self.small_jump_cutoff <= 1.0):
             raise ValidationError(
                 f"small-jump cutoff must lie in (0, 1], got {self.small_jump_cutoff}"
@@ -225,7 +208,6 @@ class _JumpModel:
             v = rng.random(int(needs.sum()))
             out_r = np.empty(int(needs.sum()))
             idx = np.flatnonzero(needs)
-            start = 0
             for c in np.unique(comp[idx]):
                 sel = comp[idx] == c
                 nodes, cdf = self._tables[c]
@@ -242,71 +224,6 @@ def _psd_factor(S: np.ndarray) -> np.ndarray:
     return vecs * np.sqrt(vals)
 
 
-@dataclass(frozen=True)
-class _LawPieces:
-    drift: np.ndarray        # a minus the compensator mean over (eps, 1]
-    gauss_cov: np.ndarray    # S plus the small-jump correction
-    jumps: _JumpModel
-
-
-def _law_pieces(triplet: LevyTriplet, cfg: PathConfig) -> _LawPieces:
-    eps = cfg.small_jump_cutoff
-    M = triplet.M
-    drift = triplet.a - M.mean_between(eps)
-    cov = np.array(triplet.S, dtype=float, copy=True)
-    if cfg.gaussian_correction:
-        cov = cov + M.second_moment_below(eps)
-    return _LawPieces(drift=drift, gauss_cov=cov, jumps=_JumpModel(M, eps, triplet.dim))
-
-
-# ---------------------------------------------------------------------------
-# increment streams
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IncrementBatch:
-    """Mesh increments of the driving process for a batch of paths."""
-
-    increments: np.ndarray  # (n_paths, n_steps, dim)
-    jump_counts: np.ndarray  # (n_paths,) jumps above the cutoff
-    times: np.ndarray  # (n_steps + 1,)
-
-
-def sample_levy_increments(
-    triplet: LevyTriplet, cfg: PathConfig, seed: int, n_paths: int = 1
-) -> IncrementBatch:
-    """Stationary independent increments over a uniform mesh.
-
-    Per cell of length ``step`` the increment is drift step plus a
-    Gaussian of covariance ``step * S``, plus compensated jumps above
-    the cutoff, plus (optionally) the small-jump Gaussian correction.
-    Deterministic given the seed.
-    """
-    n_steps = int(round(cfg.horizon / cfg.step))
-    if abs(n_steps * cfg.step - cfg.horizon) > 1e-9 * cfg.horizon or n_steps < 1:
-        raise ValidationError("horizon must be an integer multiple of step")
-    times = np.linspace(0.0, cfg.horizon, n_steps + 1)
-    pieces = _law_pieces(triplet, cfg)
-    d = triplet.dim
-    rng = _stream(seed, _INCREMENT_STREAM)
-
-    factor = _psd_factor(cfg.step * pieces.gauss_cov)
-    incr = rng.standard_normal((n_paths, n_steps, d)) @ factor.T
-    incr += cfg.step * pieces.drift
-
-    counts = rng.poisson(pieces.jumps.rate * cfg.step, size=(n_paths, n_steps))
-    total = int(counts.sum())
-    if total:
-        vecs = pieces.jumps.sample(rng, total)
-        flat = np.repeat(np.arange(n_paths * n_steps), counts.ravel())
-        flat_incr = incr.reshape(n_paths * n_steps, d)
-        np.add.at(flat_incr, flat, vecs)
-    return IncrementBatch(
-        increments=incr, jump_counts=counts.sum(axis=1), times=times
-    )
-
-
 # ---------------------------------------------------------------------------
 # random integral sampler
 # ---------------------------------------------------------------------------
@@ -318,7 +235,7 @@ def _integral_chunk(
     chunk_index: int,
     det: np.ndarray,
     factor: np.ndarray,
-    pieces: _LawPieces,
+    jumps: _JumpModel,
     tau: np.ndarray,
     f_left: np.ndarray,
 ) -> np.ndarray:
@@ -326,7 +243,7 @@ def _integral_chunk(
     d = det.size
     x = rng.standard_normal((m, d)) @ factor.T
     x += det
-    lam = pieces.jumps.rate * tau[-1]
+    lam = jumps.rate * tau[-1]
     if lam > 0:
         counts = rng.poisson(lam, m)
         total = int(counts.sum())
@@ -334,7 +251,7 @@ def _integral_chunk(
             u = rng.random(total) * tau[-1]
             k = np.searchsorted(tau, u, side="left") - 1
             np.clip(k, 0, len(f_left) - 1, out=k)
-            vecs = pieces.jumps.sample(rng, total) * f_left[k][:, None]
+            vecs = jumps.sample(rng, total) * f_left[k][:, None]
             np.add.at(x, np.repeat(np.arange(m), counts), vecs)
     return x
 
@@ -367,27 +284,21 @@ def sample_integral(
     if not np.all(np.isfinite(f_left)):
         raise ValidationError("kernel is unbounded on the mesh")
 
-    pieces = _law_pieces(triplet, cfg)
-    c1 = float(f_left @ dtau)
-    c2 = float((f_left**2) @ dtau)
-    det = c1 * pieces.drift
-    factor = _psd_factor(c2 * pieces.gauss_cov)
+    # drift net of the compensator over (eps, 1], and the Gaussian part
+    # plus the small-jump correction; jumps above eps are drawn one by one
+    M, eps = triplet.M, cfg.small_jump_cutoff
+    det = float(f_left @ dtau) * (triplet.a - M.mean_between(eps))
+    cov = np.asarray(triplet.S, dtype=float) + M.second_moment_below(eps)
+    factor = _psd_factor(float((f_left**2) @ dtau) * cov)
+    jumps = _JumpModel(M, eps, triplet.dim)
 
     chunks = [(_CHUNK, i) for i in range(n // _CHUNK)]
     if n % _CHUNK:
         chunks.append((n % _CHUNK, n // _CHUNK))
 
-    def run(args):
-        m, idx = args
-        return _integral_chunk(m, seed, idx, det, factor, pieces, tau, f_left)
-
-    workers = _max_workers()
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, chunks))
-    else:
-        parts = [run(c) for c in chunks]
-    return np.vstack(parts)
+    return np.vstack([
+        _integral_chunk(m, seed, idx, det, factor, jumps, tau, f_left) for m, idx in chunks
+    ])
 
 
 # ---------------------------------------------------------------------------

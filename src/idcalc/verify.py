@@ -1,4 +1,5 @@
-"""One verifier per named identity, shared by the CLI and the test suite.
+"""One verifier per named identity, and the Monte Carlo report builder,
+shared by the CLI and the test suite.
 
 Identity names: lemma1c (commutation), lemma1d (convolution/power
 homomorphism), lemma1e (double-map identity), prop1 (factorization),
@@ -10,7 +11,7 @@ representation, Monte Carlo), levyarea (stochastic-area closed forms).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .levyarea import AreaParams, verify_levy_area
 from .mappings import corollary1a_kernel, i_map, i_of_j_beta, j_beta
 from .reports import VerificationReport, grid_check
 from .simulate import (
+    KernelIntegralSpec,
     PathConfig,
     cf_distance_test,
     clocked_integral_spec,
@@ -29,7 +31,14 @@ from .simulate import (
     sample_integral,
 )
 
-__all__ = ["IDENTITIES", "default_seed_measures", "verify_identity", "run_all"]
+__all__ = [
+    "IDENTITIES",
+    "default_seed_measures",
+    "sample_measure",
+    "mc_report",
+    "verify_identity",
+    "run_all",
+]
 
 IDENTITIES = (
     "lemma1c",
@@ -57,31 +66,36 @@ def default_seed_measures() -> dict[str, IdMeasure]:
     }
 
 
-def _mc_report(
-    identity: str,
-    measure: IdMeasure,
-    beta: float,
-    reference: IdMeasure,
-    cfg: PathConfig,
-    n: int,
-    seed: int,
-    s_max: float,
-) -> VerificationReport:
-    """Sample the clocked integral and test its ecf against a reference
-    exponent."""
+def sample_measure(
+    measure: IdMeasure, spec: KernelIntegralSpec, cfg: PathConfig, n: int, seed: int
+) -> np.ndarray:
+    """Samples of a random integral driven by the Levy process of ``measure``."""
     if measure.triplet is None:
         raise ValidationError(f"{measure.label} has no triplet; cannot simulate")
-    spec = clocked_integral_spec(beta, s_max=s_max)
-    samples = sample_integral(measure.triplet, spec, cfg, n, seed)
-    grid = default_grid(measure.dim)
+    return sample_integral(measure.triplet, spec, cfg, n, seed)
+
+
+def mc_report(
+    identity: str,
+    samples: np.ndarray,
+    spec: KernelIntegralSpec,
+    reference: IdMeasure,
+    grid: np.ndarray,
+    cfg: PathConfig,
+    beta: float,
+    seed: int,
+    notes: Sequence[str] = (),
+) -> VerificationReport:
+    """Monte Carlo report: the ecf of ``samples`` tested against the
+    reference exponent on the grid, one z-score per point."""
     est = ecf(samples, grid)
     # a deterministic seed law leaves no statistical band; judge those
     # points against the left-point discretization allowance instead
-    det_band = 8.0 * cfg.step * (1.0 + float(np.abs(grid).max()))
+    det_band = 8.0 * cfg.step * (1.0 + float(np.abs(est.grid).max()))
     res = cf_distance_test(est, reference.exponent, det_tol=det_band)
     points = [
         {"y": [float(v) for v in y], "z": (None if not np.isfinite(z) else float(z))}
-        for y, z in zip(grid, res.z_scores)
+        for y, z in zip(est.grid, res.z_scores)
     ]
     return VerificationReport(
         identity=identity,
@@ -91,15 +105,36 @@ def _mc_report(
         tolerance=4.0,
         metric="z_score",
         points=points,
-        notes=[f"monte carlo, status={res.status}", f"seed measure {measure.label}"],
+        notes=[f"monte carlo, status={res.status}", *notes],
         extra={
-            "n_samples": n,
+            "n_samples": est.n_samples,
             "seed": seed,
             "step": cfg.step,
-            "s_max": s_max,
+            "s_max": spec.s_max,
             "status": res.status,
             "frac_above_2": res.frac_above_2,
         },
+    )
+
+
+def _clocked_mc(
+    identity: str,
+    mu: IdMeasure,
+    beta: float,
+    reference: IdMeasure,
+    grid: np.ndarray,
+    cfg: Optional[PathConfig],
+    n: int,
+    seed: int,
+    s_max: float,
+) -> VerificationReport:
+    """Sample the clocked integral and test it against ``reference``."""
+    cfg = cfg or PathConfig()
+    spec = clocked_integral_spec(beta, s_max=s_max)
+    samples = sample_measure(mu, spec, cfg, n, seed)
+    return mc_report(
+        identity, samples, spec, reference, grid, cfg, beta, seed,
+        notes=[f"seed measure {mu.label}"],
     )
 
 
@@ -118,7 +153,7 @@ def verify_identity(
     if name not in IDENTITIES:
         raise ValidationError(f"unknown identity {name!r}; choose from {IDENTITIES}")
     if name == "levyarea":
-        return [verify_levy_area(AreaParams(u=u))]
+        return [verify_levy_area(AreaParams(u=u), grid)]
     if measure is None:
         raise ValidationError(f"identity {name!r} needs a measure")
     if grid is None:
@@ -193,18 +228,14 @@ def verify_identity(
             )
         ]
         if mc_n > 0:
-            cfg = mc_cfg or PathConfig()
             reports.append(
-                _mc_report("prop2", mu, beta, one_shot, cfg, mc_n, seed, mc_s_max)
+                _clocked_mc("prop2", mu, beta, one_shot, grid, mc_cfg, mc_n, seed, mc_s_max)
             )
         return reports
 
     if name == "cor3":
         reference = i_map(j_beta(mu, 1.0))
-        cfg = mc_cfg or PathConfig()
-        return [
-            _mc_report("cor3", mu, 1.0, reference, cfg, mc_n, seed, mc_s_max)
-        ]
+        return [_clocked_mc("cor3", mu, 1.0, reference, grid, mc_cfg, mc_n, seed, mc_s_max)]
 
     raise AssertionError(f"unhandled identity {name}")
 
@@ -220,17 +251,11 @@ def run_all(
     seeds = {"measure": measure} if measure is not None else default_seed_measures()
     reports: list[VerificationReport] = []
     for fam, mu in seeds.items():
-        # the image round trip stacks four transform levels; a thinner
-        # grid keeps the full matrix inside the wall-time budget
-        small_grid = default_grid(mu.dim)[::2]
         for beta in BETA_SET:
-            for name in ("lemma1c", "lemma1d", "lemma1e", "prop1", "cor1a"):
+            for name in ("lemma1c", "lemma1d", "lemma1e", "prop1", "cor1a", "cor1b"):
                 reports.extend(
                     verify_identity(name, mu, beta=beta, mc_n=0, seed=seed)
                 )
-            reports.extend(
-                verify_identity("cor1b", mu, beta=beta, grid=small_grid, mc_n=0, seed=seed)
-            )
             reports.extend(
                 verify_identity(
                     "prop2", mu, beta=beta, mc_cfg=mc_cfg, mc_n=mc_n, seed=seed

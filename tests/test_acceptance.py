@@ -41,7 +41,7 @@ from idcalc import (
 
 BETAS = (0.5, 1.0, 2.0)
 GRID = default_grid(1)
-MC_CFG = PathConfig(step=1e-3, small_jump_cutoff=1e-3, gaussian_correction=True)
+MC_CFG = PathConfig(step=1e-3, small_jump_cutoff=1e-3)
 MC_N = 100_000
 S_MAX = 20.0
 

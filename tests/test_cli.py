@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -173,5 +174,63 @@ def test_levy_area_command(tmp_path):
     doc = read_report(out)
     assert doc["pass"] is True
     rows = list(csv.reader(open(a_csv, encoding="utf-8")))
-    assert rows[0][0] == "t"
+    assert rows[0] == ["t", "background_exponent", "log_sinh_factor", "mapped", "abs_diff"]
     assert len(rows) == 11
+    t, phi_nu, _, _, diff = map(float, rows[1])
+    assert t == -5.0
+    assert phi_nu == pytest.approx(-(10.0 / math.tanh(10.0) - 1.0), rel=1e-12)
+    assert all(float(r[4]) < 1e-8 for r in rows[1:])
+    assert diff == doc["points"][0]["abs_diff"]
+
+
+def test_levy_area_grid_flag(tmp_path):
+    out = tmp_path / "rep.json"
+    a_csv = tmp_path / "area.csv"
+    code = main(["levy-area", "--grid", "1", "2", "--out", str(out), "--csv", str(a_csv)])
+    assert code == 0
+    assert [p["t"] for p in read_report(out)["points"]] == [1.0, 2.0]
+    rows = list(csv.reader(open(a_csv, encoding="utf-8")))
+    assert [float(r[0]) for r in rows[1:]] == [1.0, 2.0]
+
+
+def test_map_csv(measures, tmp_path):
+    m_csv = tmp_path / "map.csv"
+    code = main(
+        ["map", "--measure", measures["gauss"], "--mapping", "jbeta", "--beta", "2",
+         "--grid", "1", "2", "--csv", str(m_csv)]
+    )
+    assert code == 0
+    rows = list(csv.reader(open(m_csv, encoding="utf-8")))
+    assert rows[0] == ["y", "re", "im"]
+    assert [float(r[0]) for r in rows[1:]] == [1.0, 2.0]
+    assert float(rows[1][1]) == pytest.approx(-0.25, abs=1e-10)
+
+
+def test_verify_rejects_csv(measures, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--identity", "lemma1e", "--measure", measures["gauss"],
+              "--csv", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+
+
+def test_verify_prop2_grid_reaches_mc_report(measures, tmp_path):
+    out = tmp_path / "rep.json"
+    code = main(
+        ["verify", "--identity", "prop2", "--measure", measures["gauss"], "--grid", "0.5", "1",
+         "--mc.n", "20000", "--out", str(out)]
+    )
+    assert code == 0
+    for doc in read_report(out)["reports"]:
+        assert [p["y"] for p in doc["points"]] == [[0.5], [1.0]]
+
+
+def test_verify_levyarea_grid_flag(tmp_path):
+    out = tmp_path / "rep.json"
+    code = main(["verify", "--identity", "levyarea", "--grid", "1", "2", "--out", str(out)])
+    assert code == 0
+    assert [p["t"] for p in read_report(out)["points"]] == [1.0, 2.0]
+
+
+def test_verify_all_rejects_grid(capsys):
+    assert main(["verify", "--all", "--grid", "1", "--mc.n", "0"]) == 2
+    assert "--grid" in capsys.readouterr().err

@@ -253,7 +253,7 @@ def test_dyadic_mesh_span():
 
 def test_report_serialization_and_schema():
     rep = verify_lemma1e(gaussian(1.0), 1.0)
-    doc = json.loads(rep.to_json())
+    doc = json.loads(json.dumps(rep.to_dict()))
     validate_report(doc)
     assert doc["identity"] == "lemma1e"
     assert doc["beta"] == 1.0

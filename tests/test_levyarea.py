@@ -12,7 +12,7 @@ from idcalc import (
     sinh_factor_exponent,
     verify_levy_area,
 )
-from idcalc.levyarea import area_csv_rows, chi
+from idcalc.levyarea import chi
 
 
 def test_params_validation():
@@ -114,11 +114,3 @@ def test_verify_levy_area_report(u):
     assert rep.extra["clocked_decomposition_max_abs"] < 1e-8
     assert any("coth" in n for n in rep.notes)
 
-
-def test_area_csv_rows():
-    rows = area_csv_rows(AreaParams(1.0))
-    assert len(rows) == 10
-    t, phi_nu, target, mapped, diff = rows[0]
-    assert t == -5.0
-    assert phi_nu == pytest.approx(-(5.0 / math.tanh(5.0) - 1.0), rel=1e-12)
-    assert diff < 1e-8

@@ -29,7 +29,6 @@ from idcalc import (
     poisson,
     power_segment,
     sigma_clock,
-    sigma_clock_deriv,
     smear_spectral,
 )
 from idcalc.factorization import smeared_interval_mass
@@ -263,14 +262,6 @@ def test_sigma_clock_values():
     for s in (0.5, 2.0, 10.0):
         assert sigma_clock(1.0, s) == pytest.approx(s + math.exp(-s) - 1.0, rel=1e-14)
     assert sigma_clock(2.0, 3.0) == pytest.approx(3.0 + math.exp(-6.0) / 2.0 - 0.5, rel=1e-14)
-
-
-def test_sigma_clock_derivative_matches_finite_differences():
-    h = 1e-6
-    for beta in BETAS:
-        for s in (0.1, 1.0, 5.0):
-            fd = (sigma_clock(beta, s + h) - sigma_clock(beta, s - h)) / (2 * h)
-            assert sigma_clock_deriv(beta, s) == pytest.approx(fd, abs=1e-8)
 
 
 @given(

@@ -1,10 +1,10 @@
 import math
-import os
 
 import numpy as np
 import pytest
 
 from idcalc import (
+    KernelIntegralSpec,
     PathConfig,
     ValidationError,
     cf_distance_test,
@@ -19,7 +19,6 @@ from idcalc import (
     jbeta_integral_spec,
     poisson,
     sample_integral,
-    sample_levy_increments,
 )
 
 CFG = PathConfig()  # step 1e-3, cutoff 1e-3, correction on
@@ -32,7 +31,7 @@ CFG = PathConfig()  # step 1e-3, cutoff 1e-3, correction on
 
 def test_path_config_validation():
     with pytest.raises(ValidationError):
-        PathConfig(step=2.0, horizon=1.0)
+        PathConfig(step=2.0)
     with pytest.raises(ValidationError):
         PathConfig(small_jump_cutoff=0.0)
     with pytest.raises(ValidationError):
@@ -50,60 +49,41 @@ def test_truncation_rule_for_infinite_horizon_kernels():
 
 
 # ---------------------------------------------------------------------------
-# increment streams
+# the driving process: under the unit kernel on (0, 1] a sample is Y(1)
 # ---------------------------------------------------------------------------
+
+UNIT = KernelIntegralSpec(kernel=np.ones_like, s_max=1.0)
 
 
 def test_gaussian_increments_match_step_variance():
-    cfg = PathConfig(step=0.01, horizon=1.0)
-    batch = sample_levy_increments(gaussian(1.0).triplet, cfg, seed=3, n_paths=1000)
-    x = batch.increments.ravel()
+    x = sample_integral(gaussian(1.0).triplet, UNIT, CFG, 100_000, seed=3)[:, 0]
     n = x.size
-    # sample variance of N(0, 0.01) over 1e5 draws, 3 sigma band
-    band = 3.0 * 0.01 * math.sqrt(2.0 / n)
-    assert abs(x.var() - 0.01) < band
-    assert abs(x.mean()) < 3.0 * 0.1 / math.sqrt(n)
+    # sample variance of N(0, 1) over 1e5 draws, 3 sigma band
+    assert abs(x.var() - 1.0) < 3.0 * math.sqrt(2.0 / n)
+    assert abs(x.mean()) < 3.0 / math.sqrt(n)
 
 
 def test_shift_increments_deterministic():
-    cfg = PathConfig(step=0.25, horizon=1.0)
-    batch = sample_levy_increments(dirac([2.0]).triplet, cfg, seed=0, n_paths=3)
-    assert np.allclose(batch.increments, 0.5)
-    assert batch.increments.shape == (3, 4, 1)
+    x = sample_integral(dirac([2.0]).triplet, UNIT, CFG, 3, seed=0)
+    assert x.shape == (3, 1)
+    assert np.all(x == 2.0)
 
 
 def test_poisson_jump_rate():
-    cfg = PathConfig(step=0.01, horizon=1.0)
-    batch = sample_levy_increments(poisson(1.0, 2.0).triplet, cfg, seed=11, n_paths=100_000)
-    counts = batch.jump_counts
-    assert abs(counts.mean() - 1.0) < 3.0 / math.sqrt(counts.size)
-    # every jump moves the path by exactly 2
-    assert np.allclose(batch.increments.sum(axis=(1, 2)), 2.0 * counts)
+    x = sample_integral(poisson(1.0, 2.0).triplet, UNIT, CFG, 100_000, seed=11)[:, 0]
+    # every jump moves the path by exactly 2: Y(1) = 2 N with N ~ Poisson(1)
+    counts = x / 2.0
+    assert np.all(counts == np.round(counts)) and counts.min() >= 0.0
+    assert abs(x.mean() - 2.0) < 3.0 * 2.0 / math.sqrt(x.size)
 
 
 def test_compensated_small_jump_atom_is_centered():
     # an atom inside the unit ball is compensated: with the matching shift
-    # in the family constructor, per-step means stay at rate*jump*step
+    # in the family constructor, the mean of Y(1) stays at rate*jump
     mu = poisson(1.0, 0.5)
-    cfg = PathConfig(step=0.05, horizon=1.0)
-    batch = sample_levy_increments(mu.triplet, cfg, seed=5, n_paths=50_000)
-    total = batch.increments.sum(axis=(1, 2))
-    band = 3.0 * total.std() / math.sqrt(total.size)
-    assert abs(total.mean() - 0.5) < band
-
-
-def test_increments_deterministic_given_seed():
-    cfg = PathConfig(step=0.1, horizon=1.0)
-    a = sample_levy_increments(gamma(1.0, 1.0).triplet, cfg, seed=7, n_paths=50)
-    b = sample_levy_increments(gamma(1.0, 1.0).triplet, cfg, seed=7, n_paths=50)
-    assert np.array_equal(a.increments, b.increments)
-    c = sample_levy_increments(gamma(1.0, 1.0).triplet, cfg, seed=8, n_paths=50)
-    assert not np.array_equal(a.increments, c.increments)
-
-
-def test_horizon_must_be_mesh_multiple():
-    with pytest.raises(ValidationError):
-        sample_levy_increments(gaussian(1.0).triplet, PathConfig(step=0.3, horizon=1.0), 0)
+    x = sample_integral(mu.triplet, UNIT, CFG, 50_000, seed=5)[:, 0]
+    band = 3.0 * x.std() / math.sqrt(x.size)
+    assert abs(x.mean() - 0.5) < band
 
 
 # ---------------------------------------------------------------------------
@@ -137,16 +117,8 @@ def test_integral_deterministic_and_thread_invariant():
     a = sample_integral(gamma(1.0, 1.0).triplet, spec, CFG, 20_000, seed=9)
     b = sample_integral(gamma(1.0, 1.0).triplet, spec, CFG, 20_000, seed=9)
     assert np.array_equal(a, b)
-    old = os.environ.get("IDCALC_THREADS")
-    os.environ["IDCALC_THREADS"] = "4"
-    try:
-        c = sample_integral(gamma(1.0, 1.0).triplet, spec, CFG, 20_000, seed=9)
-    finally:
-        if old is None:
-            os.environ.pop("IDCALC_THREADS")
-        else:
-            os.environ["IDCALC_THREADS"] = old
-    assert np.array_equal(a, c)
+    c = sample_integral(gamma(1.0, 1.0).triplet, spec, CFG, 20_000, seed=10)
+    assert not np.array_equal(a, c)
 
 
 def test_mesh_refinement_stays_in_statistical_band():
