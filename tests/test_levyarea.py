@@ -114,3 +114,15 @@ def test_verify_levy_area_report(u):
     assert rep.extra["clocked_decomposition_max_abs"] < 1e-8
     assert any("coth" in n for n in rep.notes)
 
+
+def test_area_csv_rows():
+    # the levy-area CSV rows: one per default grid point, taken from the report
+    p = AreaParams(1.0)
+    rep = verify_levy_area(p)
+    assert len(rep.points) == 10
+    first = rep.points[0]
+    assert first["t"] == -5.0
+    phi_nu = nu_exponent(p, first["t"]).real
+    assert phi_nu == pytest.approx(-(5.0 / math.tanh(5.0) - 1.0), rel=1e-12)
+    assert first["mapped"][0] == pytest.approx(first["log_sinh_factor"][0], abs=1e-8)
+    assert all(q["abs_diff"] < 1e-8 for q in rep.points)

@@ -69,6 +69,14 @@ def test_shift_increments_deterministic():
     assert np.all(x == 2.0)
 
 
+def test_increments_deterministic_given_seed():
+    a = sample_integral(gamma(1.0, 1.0).triplet, UNIT, CFG, 50, seed=7)
+    b = sample_integral(gamma(1.0, 1.0).triplet, UNIT, CFG, 50, seed=7)
+    assert np.array_equal(a, b)
+    c = sample_integral(gamma(1.0, 1.0).triplet, UNIT, CFG, 50, seed=8)
+    assert not np.array_equal(a, c)
+
+
 def test_poisson_jump_rate():
     x = sample_integral(poisson(1.0, 2.0).triplet, UNIT, CFG, 100_000, seed=11)[:, 0]
     # every jump moves the path by exactly 2: Y(1) = 2 N with N ~ Poisson(1)
