@@ -148,8 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_measure_arg(p, required=False)
     p.add_argument("--identity", choices=sorted(IDENTITIES))
     p.add_argument("--all", action="store_true", help="full identity/beta matrix")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--u", type=float, default=1.0, help="conditioning time for levyarea")
+    # None marks an unset flag, which --all requires; --identity reads it as 1
+    p.add_argument("--beta", type=float, help="mapping index (default 1)")
+    p.add_argument("--u", type=float, help="conditioning time for levyarea (default 1)")
     _add_mc(p)
     _add_outputs(p, with_csv=False)
 
@@ -201,9 +202,14 @@ def _cmd_verify(args) -> int:
     mu = load_measure(args.measure) if args.measure else None
     cfg = _path_config(args)
     if args.all:
-        if args.grid:
-            raise ValidationError("--grid applies to --identity; --all runs on the default grids")
-        reports = run_all(measure=mu, mc_cfg=cfg, mc_n=args.mc_n, seed=args.seed)
+        for flag, value in (("--grid", args.grid), ("--beta", args.beta), ("--u", args.u)):
+            if value is not None:
+                raise ValidationError(
+                    f"{flag} applies to --identity; --all runs on its own grids, betas and u"
+                )
+        reports = run_all(
+            measure=mu, mc_cfg=cfg, mc_n=args.mc_n, mc_s_max=args.mc_smax, seed=args.seed
+        )
     else:
         if not args.identity:
             raise ValidationError("verify needs --identity NAME or --all")
@@ -212,13 +218,13 @@ def _cmd_verify(args) -> int:
         reports = verify_identity(
             args.identity,
             measure=mu,
-            beta=args.beta,
+            beta=1.0 if args.beta is None else args.beta,
             grid=_grid_from_args(args, dim),
             mc_cfg=cfg,
             mc_n=args.mc_n,
             mc_s_max=args.mc_smax,
             seed=args.seed,
-            u=args.u,
+            u=1.0 if args.u is None else args.u,
         )
     return _finish(reports, args.out)
 

@@ -297,62 +297,51 @@ class SpectralMeasure:
 
     # -- radial integrals used by the calculus and the sampler ------------
 
+    def ray_integral(
+        self, ray_index: int, a: float, b: float, weight: Optional[Callable] = None
+    ) -> float:
+        """Integral of ``weight(r)`` (1 when ``None``) over the radii in
+        ``(a, b]`` of one ray: its atoms, then its density segments."""
+        ray = self.rays[ray_index]
+        total = sum(
+            at.w if weight is None else at.w * weight(at.r)
+            for at in ray.atoms
+            if a < at.r <= b
+        )
+        for seg in ray.densities:
+            total += _segment_mass(seg, a, b, weight)
+        return total
+
     def interval_mass(self, ray_index: int, r1: float, r2: float) -> float:
         """Mass of the radial interval ``(r1, r2]`` on one ray."""
-        ray = self.rays[ray_index]
-        total = sum(at.w for at in ray.atoms if r1 < at.r <= r2)
-        for seg in ray.densities:
-            total += _segment_mass(seg, r1, r2)
-        return total
+        return self.ray_integral(ray_index, r1, r2)
 
     def mass_above(self, eps: float) -> float:
         """Total mass at radii greater than ``eps``."""
-        total = 0.0
-        for ray in self.rays:
-            total += sum(at.w for at in ray.atoms if at.r > eps)
-            for seg in ray.densities:
-                total += _segment_mass(seg, eps, math.inf)
-        return total
+        return sum(self.ray_integral(i, eps, math.inf) for i in range(len(self.rays)))
 
     def mean_between(self, eps: float, cap: float = UNIT_BALL_RADIUS) -> np.ndarray:
         """Vector integral of ``x`` over ``eps < ||x|| <= cap``."""
-        d = self.dim
-        if d is None:
-            return np.zeros(1)
-        out = np.zeros(d)
-        for ray in self.rays:
-            radial = sum(at.w * at.r for at in ray.atoms if eps < at.r <= cap)
-            for seg in ray.densities:
-                radial += _segment_mass(seg, eps, cap, weight=lambda r: r)
-            out += radial * ray.direction
+        out = np.zeros(self.dim or 1)
+        for i, ray in enumerate(self.rays):
+            out += self.ray_integral(i, eps, cap, lambda r: r) * ray.direction
         return out
 
     def second_moment_below(self, eps: float) -> np.ndarray:
         """Matrix integral of ``x x^T`` over ``0 < ||x|| <= eps``."""
-        d = self.dim
-        if d is None:
-            return np.zeros((1, 1))
+        d = self.dim or 1
         out = np.zeros((d, d))
-        for ray in self.rays:
-            radial = sum(at.w * at.r**2 for at in ray.atoms if at.r <= eps)
-            for seg in ray.densities:
-                radial += _segment_mass(seg, 0.0, eps, weight=lambda r: r * r)
-            out += radial * np.outer(ray.direction, ray.direction)
+        for i, ray in enumerate(self.rays):
+            out += self.ray_integral(i, 0.0, eps, lambda r: r * r) * np.outer(
+                ray.direction, ray.direction
+            )
         return out
 
     def tail_power_vector(self, beta: float) -> np.ndarray:
         """Vector integral of ``x ||x||^(-1-beta)`` over ``||x|| > 1``."""
-        d = self.dim
-        if d is None:
-            return np.zeros(1)
-        out = np.zeros(d)
-        for ray in self.rays:
-            radial = sum(at.w * at.r**-beta for at in ray.atoms if at.r > 1.0)
-            for seg in ray.densities:
-                radial += _segment_mass(
-                    seg, 1.0, math.inf, weight=lambda r, b=beta: r**-b
-                )
-            out += radial * ray.direction
+        out = np.zeros(self.dim or 1)
+        for i, ray in enumerate(self.rays):
+            out += self.ray_integral(i, 1.0, math.inf, lambda r: r**-beta) * ray.direction
         return out
 
 
@@ -712,6 +701,15 @@ class IdMeasure:
         return complex(np.exp(self.phi(y)))
 
 
+def _log_moment_flag(mu: IdMeasure) -> Optional[bool]:
+    """``mu.log_moment_known``, or when unset the finiteness of the log
+    moment of ``mu``'s triplet (``None`` if it has none or the check is
+    inconclusive)."""
+    if mu.log_moment_known is not None or mu.triplet is None:
+        return mu.log_moment_known
+    return {"finite": True, "infinite": False}.get(log_moment(mu.triplet.M).status)
+
+
 def convolve(mu: IdMeasure, nu: IdMeasure) -> IdMeasure:
     """Convolution: exponents add; triplets add componentwise when present."""
     if mu.dim != nu.dim:
@@ -723,10 +721,11 @@ def convolve(mu: IdMeasure, nu: IdMeasure) -> IdMeasure:
             mu.triplet.S + nu.triplet.S,
             mu.triplet.M.merged(nu.triplet.M),
         )
+    flags = (_log_moment_flag(mu), _log_moment_flag(nu))
     lm: Optional[bool]
-    if mu.log_moment_known is True and nu.log_moment_known is True:
+    if flags == (True, True):
         lm = True
-    elif mu.log_moment_known is False or nu.log_moment_known is False:
+    elif False in flags:
         lm = False
     else:
         lm = None

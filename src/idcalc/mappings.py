@@ -14,11 +14,12 @@ its Levy process ``Y_nu``:
 against the inner clock ``sigma_beta``; agreeing with
 ``i_map(j_beta(...))`` is one of the package's central cross-checks.
 
-When the input carries a triplet, ``j_beta`` also produces the
-closed-form transformed triplet (shift contraction ``beta/(beta+1)``,
-covariance contraction ``beta/(beta+2)``, radially smeared spectral
-measure); the exponent evaluator of the result is always the quadrature
-transform, and triplet/quadrature agreement is a tested invariant.
+The mapped measures carry exponents only.  The closed-form triplet of
+``j_beta(nu)`` (shift contraction ``beta/(beta+1)``, covariance
+contraction ``beta/(beta+2)``, radially smeared spectral measure) is a
+separate route: :func:`smear_triplet`, and :func:`smear_spectral` for its
+spectral part, from which the measure-level check of Corollary 5 builds
+its measure.  Agreement of the two routes is a tested invariant.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .core import (
     LevyTriplet,
     RadialComponent,
     SpectralMeasure,
+    _log_moment_flag,
     batched_exponent,
     callable_segment,
     log_moment,
@@ -325,20 +327,21 @@ def j_beta(mu: IdMeasure, beta: float) -> IdMeasure:
     when beta > 1 so the integrand stays smooth at the left endpoint (for
     beta <= 1 the unsubstituted kernel is already C^1 there, and the
     substituted weight would introduce the singularity instead).
-    Triplet route (when available): closed-form transform.
+
+    The result carries no triplet; :func:`smear_triplet` is the closed-form
+    route.  The result's log-moment flag is the source's, read from the
+    source triplet when unset: the mapping preserves finiteness of the log
+    moment in both directions.
     """
     b = check_beta(beta)
     if b > 1.0:
         phi = radial_map(mu, lambda u: b * u ** (b - 1.0))
     else:
         phi = radial_map(mu, None, power=1.0 / b)
-    triplet = smear_triplet(mu.triplet, b) if mu.triplet is not None else None
     return IdMeasure(
         dim=mu.dim,
         exponent=phi,
-        triplet=triplet,
-        # finiteness of the log moment is preserved in both directions
-        log_moment_known=mu.log_moment_known,
+        log_moment_known=_log_moment_flag(mu),
         label=f"jbeta[{b:g}]({mu.label})",
     )
 

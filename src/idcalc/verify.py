@@ -245,9 +245,11 @@ def run_all(
     mc_cfg: Optional[PathConfig] = None,
     mc_n: int = 100_000,
     seed: int = 0,
+    mc_s_max: float = 20.0,
 ) -> list[VerificationReport]:
     """Full verification matrix: the identity list crossed with the beta
-    set, over the given measure or the default seed families."""
+    set, over the given measure or the default seed families.  ``mc_s_max``
+    is the clock horizon of the prop2 and cor3 Monte Carlo layers."""
     seeds = {"measure": measure} if measure is not None else default_seed_measures()
     reports: list[VerificationReport] = []
     for fam, mu in seeds.items():
@@ -258,7 +260,8 @@ def run_all(
                 )
             reports.extend(
                 verify_identity(
-                    "prop2", mu, beta=beta, mc_cfg=mc_cfg, mc_n=mc_n, seed=seed
+                    "prop2", mu, beta=beta, mc_cfg=mc_cfg, mc_n=mc_n,
+                    mc_s_max=mc_s_max, seed=seed,
                 )
             )
         if mu.triplet is not None and not mu.triplet.M.is_empty:
@@ -266,7 +269,9 @@ def run_all(
                 reports.extend(verify_identity("cor5", mu, beta=beta))
         if mc_n > 0 and fam in ("gamma", "poisson"):
             reports.extend(
-                verify_identity("cor3", mu, mc_cfg=mc_cfg, mc_n=mc_n, seed=seed)
+                verify_identity(
+                    "cor3", mu, mc_cfg=mc_cfg, mc_n=mc_n, mc_s_max=mc_s_max, seed=seed
+                )
             )
     reports.extend(verify_identity("levyarea", u=1.0))
     return reports

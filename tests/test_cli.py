@@ -25,10 +25,33 @@ BAD_DENSITY = {
 }
 
 
+SHIFT = {"dim": 1, "shift": [1.0]}
+# a full triplet: an atom plus an exp density on (0, inf)
+ATOM_EXP = {
+    "dim": 1,
+    "shift": [0.1],
+    "cov": [[0.5]],
+    "spectral": {
+        "rays": [
+            {
+                "direction": [1.0],
+                "atoms": [{"r": 0.7, "w": 0.5}],
+                "densities": [
+                    {"lo": 0.0, "hi": "inf", "kind": "exp", "coef": 0.6, "exponent": 0,
+                     "rate": 2}
+                ],
+            }
+        ]
+    },
+}
+
+
 @pytest.fixture
 def measures(tmp_path):
     paths = {}
-    for name, spec in [("gauss", GAUSS), ("poisson", POISSON), ("bad", BAD_DENSITY)]:
+    specs = [("gauss", GAUSS), ("poisson", POISSON), ("bad", BAD_DENSITY),
+             ("shift", SHIFT), ("atom_exp", ATOM_EXP)]
+    for name, spec in specs:
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(spec), encoding="utf-8")
         paths[name] = str(p)
@@ -234,3 +257,33 @@ def test_verify_levyarea_grid_flag(tmp_path):
 def test_verify_all_rejects_grid(capsys):
     assert main(["verify", "--all", "--grid", "1", "--mc.n", "0"]) == 2
     assert "--grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--beta", "--u"])
+def test_verify_all_rejects_identity_flags(flag, capsys):
+    assert main(["verify", "--all", flag, "2", "--mc.n", "0"]) == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_verify_all_mc_smax_reaches_mc_reports(measures, tmp_path):
+    out = tmp_path / "rep.json"
+    code = main(
+        ["verify", "--all", "--measure", measures["shift"], "--mc.n", "200",
+         "--mc.smax", "10", "--out", str(out)]
+    )
+    assert code == 0
+    mc = [d for d in read_report(out)["reports"] if d["metric"] == "z_score"]
+    assert len(mc) == 3
+    assert all(d["extra"]["s_max"] == 10.0 for d in mc)
+
+
+def test_verify_prop2_on_full_triplet_spec(measures, tmp_path):
+    # the mapped measure carries no triplet; the log-moment gate of i_map
+    # reads the flag j_beta takes from the source triplet
+    out = tmp_path / "rep.json"
+    code = main(
+        ["verify", "--identity", "prop2", "--measure", measures["atom_exp"], "--mc.n", "0",
+         "--grid", "1", "--out", str(out)]
+    )
+    assert code == 0
+    assert read_report(out)["pass"] is True

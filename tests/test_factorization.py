@@ -8,6 +8,7 @@ from idcalc import (
     RadialAtom,
     RadialComponent,
     SpectralMeasure,
+    conv_power,
     convolve,
     default_grid,
     dirac,
@@ -23,17 +24,22 @@ from idcalc import (
     verify_prop1,
 )
 from idcalc.factorization import dyadic_mesh, smeared_interval_mass
-from idcalc.mappings import smear_spectral
+from idcalc.mappings import smear_spectral, smear_triplet
 
 BETAS = (0.5, 1.0, 2.0)
 GRID = default_grid(1)
+
+
+def rho_triplet(nu, beta):
+    """Closed-form triplet of ``factor_rho(nu, beta)``."""
+    return smear_triplet(conv_power(nu, 0.5).triplet, 2.0 * beta)
 
 
 @pytest.mark.parametrize("beta", BETAS)
 def test_factor_rho_gaussian_variance(beta):
     rho = factor_rho(gaussian(1.0), beta)
     want = beta / (2.0 * (beta + 1.0))
-    assert rho.triplet.S[0, 0] == pytest.approx(want, abs=1e-14)
+    assert rho_triplet(gaussian(1.0), beta).S[0, 0] == pytest.approx(want, abs=1e-14)
     assert complex(rho.exponent(np.array([1.0]))) == pytest.approx(-0.5 * want, abs=1e-11)
 
 
@@ -44,10 +50,10 @@ def test_factor_rho_identity_measure():
 
 
 def test_factor_rho_beta1_quarter_variance():
-    rho = factor_rho(gaussian(1.0), 1.0)
-    assert rho.triplet.S[0, 0] == pytest.approx(0.25, abs=1e-14)
+    rho = rho_triplet(gaussian(1.0), 1.0)
+    assert rho.S[0, 0] == pytest.approx(0.25, abs=1e-14)
     # and the factorization closes the variance budget: 1/4 * 1/3 + 1/4 = 1/3
-    lhs_var = rho.triplet.S[0, 0] * (1.0 / 3.0) + rho.triplet.S[0, 0]
+    lhs_var = rho.S[0, 0] * (1.0 / 3.0) + rho.S[0, 0]
     assert lhs_var == pytest.approx(1.0 / 3.0, abs=1e-14)
 
 
@@ -163,15 +169,21 @@ def atom_source():
     )
 
 
-def test_cor5_atom_frozen_values():
-    # hand computation for A = (0.25, 0.5], source atom (r=1, w=2), beta=1:
-    # M(A) = 0.1875 and the source side integrates to 0.5
+@pytest.mark.parametrize("beta", BETAS)
+def test_cor5_atom_frozen_values(beta):
+    # hand computation for A = (0.25, 0.5], source atom (r=1, w=2): M is the
+    # density 2 beta r^(2 beta - 1) on (0, 1], so M(A) = 0.5^(2 beta) -
+    # 0.25^(2 beta), and the source's smear puts 2 (0.5^beta - 0.25^beta) on A
+    mass, rhs = {
+        0.5: (0.25, math.sqrt(2.0) - 1.0),
+        1.0: (0.1875, 0.5),
+        2.0: (0.05859375, 0.375),
+    }[beta]
     G = atom_source()
-    M = smear_spectral(G, 2.0).scaled(0.5)
-    assert M.interval_mass(0, 0.25, 0.5) == pytest.approx(0.1875, abs=1e-12)
-    rhs = smeared_interval_mass(G, 1.0, 0, 0.25, 0.5)
-    assert rhs == pytest.approx(0.5, abs=1e-9)
-    lhs = smeared_interval_mass(M, 1.0, 0, 0.25, 0.5) + M.interval_mass(0, 0.25, 0.5)
+    M = smear_spectral(G, 2.0 * beta).scaled(0.5)
+    assert M.interval_mass(0, 0.25, 0.5) == pytest.approx(mass, abs=1e-12)
+    assert smeared_interval_mass(G, beta, 0, 0.25, 0.5) == pytest.approx(rhs, abs=1e-9)
+    lhs = smeared_interval_mass(M, beta, 0, 0.25, 0.5) + M.interval_mass(0, 0.25, 0.5)
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -199,8 +211,8 @@ def test_cor5_empty_source():
 
 @pytest.mark.parametrize("beta", (0.5, 1.0))
 def test_cor5_heavy_tail_source(beta):
-    # unbounded support: the dilated test sets run past float range for
-    # tiny t, which must contribute zero instead of overflowing
+    # unbounded support: the tail term of the smeared mass integrates
+    # s^-beta against the heavy tail over (r2, inf), which must converge
     G = SpectralMeasure(
         (RadialComponent(np.array([1.0]),
                          densities=(power_segment(1.0, -2.5, 1.0, math.inf),)),)
@@ -213,7 +225,7 @@ def test_cor5_kink_of_smeared_density_is_a_break_point(monkeypatch):
     # an exp density starting at lo > 0 smears to a density that bends at
     # lo; below that radius the test intervals cross the bend, and must cost
     # about what the same density from 0 costs
-    from idcalc import core, factorization, mappings, measure_from_spec, quadrature
+    from idcalc import core, mappings, measure_from_spec, quadrature
 
     evals = [0]
     plain = quadrature.quad_real
@@ -225,7 +237,7 @@ def test_cor5_kink_of_smeared_density_is_a_break_point(monkeypatch):
 
         return plain(g, *args, **kwargs)
 
-    for mod in (core, mappings, factorization):
+    for mod in (core, mappings, quadrature):
         monkeypatch.setattr(mod, "quad_real", counting)
     cost = {}
     for lo in (0.5, 0.0):

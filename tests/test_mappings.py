@@ -30,6 +30,7 @@ from idcalc import (
     power_segment,
     sigma_clock,
     smear_spectral,
+    smear_triplet,
 )
 from idcalc.factorization import smeared_interval_mass
 from idcalc.mappings import check_beta
@@ -63,7 +64,7 @@ def test_jbeta_gaussian_variance_factor(beta):
         want = -0.5 * factor * float(y[0]) ** 2
         assert complex(out.exponent(y)) == pytest.approx(want, abs=1e-10)
     # closed-form triplet carries the same contraction
-    assert out.triplet.S[0, 0] == pytest.approx(factor, abs=1e-14)
+    assert smear_triplet(gaussian(1.0).triplet, beta).S[0, 0] == pytest.approx(factor, abs=1e-14)
 
 
 @pytest.mark.parametrize("beta", BETAS)
@@ -74,7 +75,7 @@ def test_jbeta_shift_factor(beta):
         assert complex(out.exponent(y)) == pytest.approx(
             1j * factor * float(y[0]), abs=1e-10
         )
-    assert out.triplet.a[0] == pytest.approx(factor, abs=1e-14)
+    assert smear_triplet(dirac([1.0]).triplet, beta).a[0] == pytest.approx(factor, abs=1e-14)
 
 
 def test_jbeta_atom_smear_against_mesh_oracle():
@@ -94,7 +95,7 @@ def test_jbeta_atom_smear_against_mesh_oracle():
 @pytest.mark.parametrize("beta", (0.5, 2.0))
 def test_smear_density_closed_form_vs_direct(beta):
     # uniform density smeared two ways: transformed-measure object versus
-    # direct t-integration of dilated interval masses
+    # the definition of the mapped measure, integrated over t in closed form
     M = SpectralMeasure(
         (RadialComponent(np.array([1.0]), densities=(power_segment(1.0, 0.0, 0.0, 1.0),)),)
     )
@@ -108,9 +109,10 @@ def test_smear_density_closed_form_vs_direct(beta):
 @pytest.mark.parametrize("beta", BETAS)
 def test_jbeta_triplet_matches_quadrature(mu, beta):
     out = j_beta(mu, beta)
+    triplet = smear_triplet(mu.triplet, beta)
     for y in GRID:
         quad_route = complex(out.exponent(y))
-        triplet_route = char_exponent(out.triplet, y)
+        triplet_route = char_exponent(triplet, y)
         assert abs(quad_route - triplet_route) < 1e-8
 
 

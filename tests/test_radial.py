@@ -159,6 +159,28 @@ def test_nested_build_makes_no_leaf_calls():
     assert batches
 
 
+def test_nested_build_on_a_triplet_runs_no_quadrature(monkeypatch):
+    # the mapped measures carry no closed-form triplet, so building four
+    # levels on a triplet-bearing measure smears and validates nothing
+    from idcalc import core, mappings, quadrature
+
+    calls = []
+    plain = quadrature.quad_real
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return plain(*args, **kwargs)
+
+    for mod in (core, mappings, quadrature):
+        monkeypatch.setattr(mod, "quad_real", counting)
+    mu = gamma(1.0, 1.0)
+    for _ in range(4):
+        mu = j_beta(mu, 1.0)
+    assert calls == []
+    assert mu.triplet is None
+    assert mu.log_moment_known is True
+
+
 def test_supplied_exponents_are_checked_and_lifted():
     with pytest.raises(ValidationError):
         IdMeasure.from_exponent(1, lambda y: 1.0 + 0j)
