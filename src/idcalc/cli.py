@@ -29,7 +29,7 @@ from .errors import DomainError, IdcalcError, QuadratureError, ValidationError
 from .families import load_measure
 from .levyarea import AreaParams, nu_exponent, verify_levy_area
 from .mappings import corollary1a_kernel, i_map, i_of_j_beta, j_beta, j_beta_inverse
-from .factorization import factor_rho, verify_prop1
+from .factorization import verify_prop1
 from .reports import VerificationReport, exponent_report, validate_report
 from .simulate import (
     PathConfig,
@@ -189,12 +189,10 @@ def _cmd_map(args) -> int:
 def _cmd_factor(args) -> int:
     mu = load_measure(args.measure)
     grid = _grid_from_args(args, mu.dim)
-    rho = factor_rho(mu, args.beta)
     report = verify_prop1(mu, args.beta, grid)
-    report.notes.append(f"factor {rho.label}")
     if args.csv:
         _write_csv(args.csv, ["y", "rho_re", "rho_im"],
-                   [(_y_cell(y), z.real, z.imag) for y, z in zip(grid, rho.exponent(grid))])
+                   [(_y_cell(p["y"]), *p["rho"]) for p in report.points])
     return _finish([report], args.out)
 
 

@@ -222,14 +222,18 @@ def _segment_mass(seg: DensitySegment, a: float, b: float, weight=None) -> float
     if b <= a:
         return 0.0
     f = seg.fn if weight is None else (lambda r, g=seg.fn, w=weight: w(r) * g(r))
+    points = [UNIT_BALL_RADIUS, *seg.kinks]
     if math.isinf(b):
-        val, ok = tail_quad(f, a)
+        # the staged tail starts past the last kink
+        k = max((x for x in seg.kinks if x > a), default=a)
+        head = quad_real(f, a, k, points=points) if k > a else 0.0
+        val, ok = tail_quad(f, k)
         if not ok:
             raise ValidationError(
                 "tail integral did not converge; segment violates finite-mass requirement"
             )
-        return val
-    return quad_real(f, a, b, points=[UNIT_BALL_RADIUS, *seg.kinks])
+        return head + val
+    return quad_real(f, a, b, points=points)
 
 
 # ---------------------------------------------------------------------------
@@ -508,22 +512,21 @@ class LevyTriplet:
         return self.a.size
 
 
-def _jump_integrand(r: float, c: float) -> complex:
-    """exp(i r c) - 1 - i r c 1{r <= 1}, the compensated jump term on a ray."""
+def _atom_terms(r, c) -> np.ndarray:
+    """``exp(i r c) - 1 - i r c 1{r <= 1}``, the compensated jump term on
+    a ray, with ``r`` and ``c`` broadcast.  ``cos x - 1 = -2 sin^2(x/2)``,
+    and ``sin x - x`` from its Taylor series where ``|x| < 1``, keep small
+    ``x = r c`` free of cancellation."""
     x = r * c
-    out = complex(math.cos(x) - 1.0, math.sin(x))
-    if r <= UNIT_BALL_RADIUS:
-        out -= 1j * x
-    return out
-
-
-def _atom_terms(r: float, c: np.ndarray) -> np.ndarray:
-    """:func:`_jump_integrand` of one radius over an array of ``c``."""
-    x = r * c
-    out = (np.cos(x) - 1.0) + 1j * np.sin(x)
-    if r <= UNIT_BALL_RADIUS:
-        out -= 1j * x
-    return out
+    near = np.abs(x) < 1.0
+    s = np.where(near, x, 0.0)  # keeps the series finite where it is not used
+    series = 1.0
+    for k in range(19, 3, -2):  # Horner over the terms s^3 .. s^19
+        series = 1.0 - s * s / (k * (k - 1)) * series
+    sin_x = np.sin(x)
+    compensated = np.where(near, -(s**3) / 6.0 * series, sin_x - x)
+    h = np.sin(0.5 * x)
+    return -2.0 * h * h + 1j * np.where(r <= UNIT_BALL_RADIUS, compensated, sin_x)
 
 
 def _as_batch(y, dim: int) -> np.ndarray:
@@ -541,45 +544,71 @@ def char_exponent(triplet: LevyTriplet, y):
 
     ``y`` is one ``(dim,)`` vector (returns a complex) or a batch
     ``(n, dim)`` (returns ``(n,)`` complex).  Shift, Gaussian and atom
-    terms are evaluated on the whole batch; density segments are
-    integrated row by row by adaptive quadrature at relative tolerance
-    1e-10 (absolute floor 1e-14), with the compensator kink at radius 1
-    passed to the integrator as a split point.
+    terms are evaluated on the whole batch.  Each density segment is
+    integrated for the whole batch by :func:`idcalc.quadrature.quad_complex`,
+    each part to ``max(1e-14, 1e-10 |part|)``, split at the compensator
+    kink at radius 1.  From the origin, ``power`` and ``exp`` segments
+    take the exact power series on ``(0, r0)``; unbounded supports are
+    integrated on growing cutoffs until the increments settle, and raise
+    :class:`QuadratureError` when they do not (heavy ``power`` tails, and
+    slowly decaying ``exp`` tails at high frequency, can).
     """
-    if np.ndim(y) != 2:
-        return complex(_exponent_rows(triplet, _as_vector(y, triplet.dim)[None, :])[0])
-    return _exponent_rows(triplet, _as_batch(y, triplet.dim))
-
-
-def _exponent_rows(triplet: LevyTriplet, Y: np.ndarray) -> np.ndarray:
+    one = np.ndim(y) != 2
+    Y = _as_vector(y, triplet.dim)[None, :] if one else _as_batch(y, triplet.dim)
     val = 1j * (Y @ triplet.a) - 0.5 * ((Y @ triplet.S) * Y).sum(axis=1)
-    for ray in triplet.M.rays:
+    for k, ray in enumerate(triplet.M.rays):
         c = Y @ ray.direction
         for at in ray.atoms:
             val += at.w * _atom_terms(at.r, c)
         rows = np.flatnonzero(c != 0.0)
         for seg in ray.densities:
-            for i in rows:
-                val[i] += _segment_exponent(seg, float(c[i]))
-    return val
+            where = f" of ray {k}'s {seg.kind} density on ({seg.lo:g}, {seg.hi:g}) at y="
+            val[rows] += _density_terms(seg, c[rows], lambda i: where + str(Y[rows[i]].tolist()))
+    return complex(val[0]) if one else val
 
 
-def _segment_exponent(seg: DensitySegment, c: float) -> complex:
-    f = lambda r: seg.fn(r) * _jump_integrand(r, c)
-    total = 0.0 + 0.0j
-    # split at the compensator kink
-    a, b = seg.lo, seg.hi
-    cut = UNIT_BALL_RADIUS
-    if a < cut < b:
-        total += quad_complex(f, a, cut)
-        a = cut
-    if math.isinf(b):
-        # oscillation period in r is 2*pi/|c|; let QUADPACK's infinite-range
-        # transform deal with it, the density supplies the decay
-        total += quad_complex(f, a, np.inf)
-    else:
-        total += quad_complex(f, a, b)
-    return total
+def _density_values(seg: DensitySegment, r: np.ndarray) -> np.ndarray:
+    """The density at the nodes ``r``; callables are called once per
+    distinct node."""
+    if seg.kind in ("power", "exp"):
+        return seg.coef * r**seg.exponent * (np.exp(-seg.rate * r) if seg.rate else 1.0)
+    nodes, back = np.unique(r, return_inverse=True)
+    return np.array([seg.fn(t) for t in nodes])[back].reshape(r.shape)
+
+
+def _density_terms(seg: DensitySegment, c: np.ndarray, where) -> np.ndarray:
+    """Integral of ``g(r) (exp(i r c) - 1 - i r c 1{r <= 1})`` over the
+    segment, for every projection ``c``."""
+    f = lambda rows, r: _density_values(seg, r) * _atom_terms(r, c[rows, None])
+    out = np.zeros(len(c), dtype=complex)
+    lo, cut = seg.lo, min(seg.hi, UNIT_BALL_RADIUS)
+    if lo == 0.0 and seg.kind in ("power", "exp"):
+        lo = np.minimum(cut, 1.0 / (np.abs(c) + (seg.rate or 0.0)))
+        out += _origin_series(seg, c, lo)
+    if seg.lo < cut:
+        out += quad_complex(f, lo, cut, len(c), where)
+    a = max(seg.lo, UNIT_BALL_RADIUS)
+    if seg.hi > a:
+        out += quad_complex(f, a, seg.hi, len(c), where)
+    return out
+
+
+# powers kept in each index of _origin_series; with (|c| + rate) r0 <= 1
+# the terms left out add up to less than 1e-20 of the leading one
+_SERIES_TERMS = 22
+
+
+def _origin_series(seg: DensitySegment, c: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    """``int_0^r0 coef r^p exp(-lam r) (exp(i c r) - 1 - i c r) dr`` for a
+    power (``lam = 0``) or exp segment and ``(|c| + lam) r0 <= 1``: both
+    exponentials expanded, the double sum over ``(icr)^m/m!``, ``m >= 2``,
+    and ``(-lam r)^l/l!`` integrated term by term."""
+    k = np.arange(_SERIES_TERMS + 1)
+    inv_fact = 1.0 / np.cumprod(np.maximum(k, 1))
+    jump = ((1j * c * r0)[:, None] ** k * inv_fact)[:, 2:]
+    damp = (-(seg.rate or 0.0) * r0)[:, None] ** k * inv_fact
+    den = seg.exponent + 1.0 + k[2:, None] + k
+    return seg.coef * r0 ** (seg.exponent + 1.0) * np.einsum("nm,nl,ml->n", jump, damp, 1.0 / den)
 
 
 # ---------------------------------------------------------------------------

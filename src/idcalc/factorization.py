@@ -51,17 +51,23 @@ def verify_prop1(
     grid: Optional[np.ndarray] = None,
     tol: float = 1e-8,
 ) -> VerificationReport:
-    """Check ``j_beta(rho) * rho = j_beta(nu)`` for the constructed factor."""
+    """Check ``j_beta(rho) * rho = j_beta(nu)`` for the constructed factor.
+
+    Each point also records the factor's exponent as ``rho``.
+    """
     b = check_beta(beta)
     if grid is None:
         grid = default_grid(nu.dim)
+    grid = np.asarray(grid, dtype=float).reshape(-1, nu.dim)
     rho = factor_rho(nu, b)
-    lhs = convolve(j_beta(rho, b), rho)
-    rhs = j_beta(nu, b)
-    notes = [f"factor of {nu.label}"]
+    rho_vals = rho.exponent(grid)
+    lhs = j_beta(rho, b).exponent(grid) + rho_vals
+    notes = [f"factor {rho.label} of {nu.label}"]
     if b == 1.0:
         notes.append(S_SELFDEC_NOTE)
-    report = grid_check("prop1", lhs.exponent, rhs.exponent, grid, tol, beta=b, notes=notes)
+    report = grid_check("prop1", lhs, j_beta(nu, b).exponent, grid, tol, beta=b, notes=notes)
+    for pt, z in zip(report.points, rho_vals):
+        pt["rho"] = [float(z.real), float(z.imag)]
     return report
 
 

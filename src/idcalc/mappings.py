@@ -40,8 +40,8 @@ from .core import (
     log_moment,
     power_segment,
 )
-from .errors import DomainError, QuadratureError, ValidationError
-from .quadrature import ABS_TOL, GK21_NODES, REL_TOL, gk21, quad_real
+from .errors import DomainError, ValidationError
+from .quadrature import ROW_CAP, quad_complex, quad_real
 
 __all__ = [
     "check_beta",
@@ -136,11 +136,7 @@ def _smear_generic_segment(seg: DensitySegment, beta: float) -> DensitySegment:
         if rho <= 0 or rho >= hi:
             return 0.0
         a = max(rho, lo)
-        w = lambda s: s**-beta * g(s)
-        if math.isinf(hi):
-            val = quad_real(w, a, np.inf, rel_tol=1e-9)
-        else:
-            val = quad_real(w, a, hi, rel_tol=1e-9)
+        val = quad_real(lambda s: s**-beta * g(s), a, hi, rel_tol=1e-9)
         return beta * rho ** (beta - 1.0) * val
 
     if lo > 0:
@@ -197,101 +193,12 @@ def smear_triplet(triplet: LevyTriplet, beta: float) -> LevyTriplet:
 # the batched radial transform
 # ---------------------------------------------------------------------------
 
-# rows per call to a source exponent; nested maps multiply their batches
-# by 21 per level, and the cap keeps each level's working set fixed
-ROW_CAP = 2048
-# subintervals one batch element may use, QUADPACK's limit in quad_real
-PANEL_LIMIT = 300
-_PANELS_PER_CALL = ROW_CAP // GK21_NODES.size
-
 
 def _evaluate(src, rows: np.ndarray) -> np.ndarray:
     """``src`` on ``rows (m, dim)``, in calls of at most ``ROW_CAP`` rows."""
     if len(rows) <= ROW_CAP:
         return src(rows)
     return np.concatenate([src(rows[i : i + ROW_CAP]) for i in range(0, len(rows), ROW_CAP)])
-
-
-def _panel_rules(src, Y, weight, power, elem, a, b):
-    """GK21 values and errors ``(p, 2)``, real and imaginary part, of each
-    panel ``(a, b)`` of batch element ``elem``."""
-    val = np.empty((len(elem), 2))
-    err = np.empty((len(elem), 2))
-    for start in range(0, len(elem), _PANELS_PER_CALL):
-        sl = slice(start, start + _PANELS_PER_CALL)
-        half = 0.5 * (b[sl] - a[sl])
-        t = (a[sl] + half)[:, None] + half[:, None] * GK21_NODES
-        u = t if power == 1.0 else t**power
-        rows = u[:, :, None] * Y[elem[sl]][:, None, :]
-        f = src(rows.reshape(-1, Y.shape[1])).reshape(t.shape)
-        if weight is not None:
-            f = f * weight(t)
-        val[sl, 0], err[sl, 0] = gk21(f.real, half)
-        val[sl, 1], err[sl, 1] = gk21(f.imag, half)
-    return val, err
-
-
-def _per_element(elem: np.ndarray, parts: np.ndarray, n: int) -> np.ndarray:
-    """Sums ``(n, 2)`` of the panel rows ``parts (p, 2)`` per batch element."""
-    return np.stack([np.bincount(elem, parts[:, 0], n), np.bincount(elem, parts[:, 1], n)], 1)
-
-
-def _radial_integral(src, Y, weight, power, lo, head) -> np.ndarray:
-    """``int_lo^1 w(t) phi(t**power y) dt`` for every row ``y`` of ``Y``.
-
-    Each row refines on its own: while its real or imaginary part misses
-    ``max(ABS_TOL, REL_TOL |part|)``, it bisects the panels whose error in
-    that part exceeds their length's share of the tolerance.  All pending
-    panels of the batch go to the source together.
-    """
-    n = len(Y)
-    out = np.zeros(n, dtype=complex)
-    if head is not None:
-        # two-term fit phi(u y) ~ C1 u + C2 u^2 on (0, lo) from phi at lo, lo/2
-        near = _evaluate(src, np.concatenate([lo * Y, 0.5 * lo * Y]))
-        A, B = near[:n], near[n:]
-        out += head[0] * (4.0 * B - A) + head[1] * (2.0 * A - 4.0 * B)
-    span = 1.0 - lo
-    # settled panels of unfinished elements, then the panels to evaluate
-    elem, a, b = np.zeros(0, dtype=int), np.zeros(0), np.zeros(0)
-    val, err = np.zeros((0, 2)), np.zeros((0, 2))
-    new_elem, new_a, new_b = np.arange(n), np.full(n, float(lo)), np.ones(n)
-    while len(new_elem):
-        new_val, new_err = _panel_rules(src, Y, weight, power, new_elem, new_a, new_b)
-        elem = np.concatenate([elem, new_elem])
-        a, b = np.concatenate([a, new_a]), np.concatenate([b, new_b])
-        val, err = np.concatenate([val, new_val]), np.concatenate([err, new_err])
-
-        total, total_err = _per_element(elem, val, n), _per_element(elem, err, n)
-        tol = np.maximum(ABS_TOL, REL_TOL * np.abs(total))
-        short = ~(total_err <= tol)  # a NaN error is short too
-        done = ~short.any(axis=1)
-        finished = np.unique(elem[done[elem]])
-        out[finished] += total[finished, 0] + 1j * total[finished, 1]
-
-        pending = ~done[elem]
-        share = (b - a) / span
-        split = pending & (short[elem] & ~(err <= tol[elem] * share[:, None])).any(axis=1)
-        count = np.bincount(elem[pending], minlength=n) + np.bincount(elem[split], minlength=n)
-        finite = np.isfinite(total).all(axis=1) & np.isfinite(total_err).all(axis=1)
-        stuck = np.flatnonzero((count > PANEL_LIMIT) | ~finite)
-        if len(stuck):
-            i = stuck[0]
-            part = int(np.argmax(np.nan_to_num(total_err[i] / tol[i], nan=np.inf)))
-            raise QuadratureError(
-                f"radial quadrature at y={Y[i].tolist()} did not converge: achieved "
-                f"abs error {total_err[i, part]:.3e}, requested {tol[i, part]:.3e}, "
-                f"with at most {PANEL_LIMIT} subintervals",
-                achieved=float(total_err[i, part]),
-                requested=float(tol[i, part]),
-            )
-        stay = pending & ~split
-        mid = 0.5 * (a[split] + b[split])
-        new_elem = np.repeat(elem[split], 2)
-        new_a = np.stack([a[split], mid], 1).ravel()
-        new_b = np.stack([mid, b[split]], 1).ravel()
-        elem, a, b, val, err = elem[stay], a[stay], b[stay], val[stay], err[stay]
-    return out
 
 
 def radial_map(mu: IdMeasure, weight, power: float = 1.0, lo: float = 0.0, head=None):
@@ -304,14 +211,30 @@ def radial_map(mu: IdMeasure, weight, power: float = 1.0, lo: float = 0.0, head=
     at ``lo`` and ``lo/2``; ``head = (m1, m2)`` are the weight's moments
     ``int_0^lo w(u) u du / lo`` and ``int_0^lo w(u) u^2 du / lo^2``.
 
-    The integral is QUADPACK's 21-point Gauss-Kronrod rule on panels that
-    every batch element bisects on its own until its real and imaginary
-    parts each meet ``max(ABS_TOL, REL_TOL |part|)``; an element that needs
-    more than ``PANEL_LIMIT`` panels raises :class:`QuadratureError`.
-    The source is called with at most ``ROW_CAP`` rows at a time.
+    The integral is :func:`idcalc.quadrature.quad_complex`, the batched
+    21-point Gauss-Kronrod refinement that also integrates the density
+    segments of :func:`idcalc.core.char_exponent`.
     """
     src = mu.exponent
-    return batched_exponent(lambda Y: _radial_integral(src, Y, weight, power, lo, head))
+
+    def phi(Y):
+        def integrand(rows, t):
+            u = t if power == 1.0 else t**power
+            x = u[:, :, None] * Y[rows][:, None, :]
+            f = src(x.reshape(-1, Y.shape[1])).reshape(t.shape)
+            return f if weight is None else f * weight(t)
+
+        out = quad_complex(
+            integrand, lo, 1.0, len(Y), lambda i: f" of the radial transform at y={Y[i].tolist()}"
+        )
+        if head is not None:
+            # two-term fit phi(u y) ~ C1 u + C2 u^2 on (0, lo) from phi at lo, lo/2
+            near = _evaluate(src, np.concatenate([lo * Y, 0.5 * lo * Y]))
+            A, B = near[: len(Y)], near[len(Y) :]
+            out += head[0] * (4.0 * B - A) + head[1] * (2.0 * A - 4.0 * B)
+        return out
+
+    return batched_exponent(phi)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,17 @@ convergence at an endpoint is itself in question, are evaluated on a
 growing (or shrinking) sequence of cutoffs so that non-convergence is
 detected and reported instead of silently trusted.
 
-:func:`gk21` is QUADPACK's 21-point Gauss-Kronrod rule with its error
-heuristic, applied to many panels at once; the batched radial transform
-of ``mappings`` refines with it.
+:func:`quad_complex` is the one complex integrator: QUADPACK's 21-point
+Gauss-Kronrod rule with its error heuristic (:func:`gk21`), applied to the
+panels of a whole batch of rows at once, each row bisecting on its own.
+Both the radial transform of ``mappings`` and the density segments of
+``core.char_exponent`` integrate with it; their unbounded supports run on
+the same staged cutoffs as :func:`tail_quad`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -59,12 +63,14 @@ _EPMACH = np.finfo(float).eps
 _UFLOW = np.finfo(float).tiny
 
 
-def gk21(values: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integral and error estimate of real integrands on many panels.
+def gk21(values: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integral, error estimate and rounding floor of real integrands on
+    many panels.
 
     ``values`` is ``(p, 21)``: each row holds the integrand at the
     :data:`GK21_NODES` mapped onto one panel of half-length ``half``.  The
-    error estimate is QUADPACK's qk21 heuristic.
+    error estimate is QUADPACK's qk21 heuristic, which never reads below
+    the floor ``50 eps int |f|``.
     """
     # row sums rather than matrix products, so that a panel's result does
     # not depend on the other rows of the batch
@@ -76,8 +82,8 @@ def gk21(values: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scaled = (resasc != 0.0) & (err != 0.0)
     ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err), where=scaled)
     err = np.where(scaled, resasc * np.minimum(1.0, ratio) ** 1.5, err)
-    err = np.where(resabs > _UFLOW / (50.0 * _EPMACH), np.maximum(50.0 * _EPMACH * resabs, err), err)
-    return resk * half, err
+    floor = np.where(resabs > _UFLOW / (50.0 * _EPMACH), 50.0 * _EPMACH * resabs, 0.0)
+    return resk * half, np.maximum(floor, err), floor
 
 
 def quad_real(
@@ -110,24 +116,96 @@ def quad_real(
     return value
 
 
-def quad_complex(f: Callable[[float], complex], a: float, b: float) -> complex:
-    """Integrate a complex-valued integrand part by part.
+# points per call to an integrand; nested maps multiply their batches by 21
+# per level, and the cap keeps each level's working set fixed
+ROW_CAP = 2048
+# subintervals one row may use, QUADPACK's limit in quad_real
+PANEL_LIMIT = 300
+_PANELS_PER_CALL = ROW_CAP // GK21_NODES.size
 
-    The integrand value is cached per node so the real and imaginary
-    passes share evaluations wherever their subdivisions coincide.
+
+def _panel_rules(f, elem, a, b):
+    """GK21 value, error and rounding floor ``(p, 3, 2)``, real and
+    imaginary part, of each panel ``(a, b)`` of row ``elem``."""
+    out = np.empty((len(elem), 3, 2))
+    for start in range(0, len(elem), _PANELS_PER_CALL):
+        sl = slice(start, start + _PANELS_PER_CALL)
+        half = 0.5 * (b[sl] - a[sl])
+        z = f(elem[sl], (a[sl] + half)[:, None] + half[:, None] * GK21_NODES)
+        # real parts, then imaginary parts, as one batch of panels
+        rules = gk21(np.concatenate([z.real, z.imag]), np.concatenate([half, half]))
+        for q, rule in enumerate(rules):
+            out[sl, q] = rule.reshape(2, -1).T
+    return out
+
+
+def quad_complex(f, a, b, n: int, where=lambda i: "") -> np.ndarray:
+    """Integrals ``(n,)`` of a complex integrand over ``(a_i, b_i)`` for
+    the rows ``i < n``; rows with ``b <= a`` give 0.
+
+    ``f(rows, t)`` gives the integrand of rows ``rows (p,)`` at the nodes
+    ``t (p, 21)``, at most ``ROW_CAP`` nodes per call.  ``a`` and ``b``
+    are scalars or ``(n,)`` arrays.  Each row refines on its own: while its
+    real or imaginary part misses ``max(ABS_TOL, REL_TOL |part|)`` (or the
+    rule's rounding floor ``50 eps int |f|``, which no bisection lowers),
+    it bisects the panels whose error in that part exceeds their length's
+    share of the tolerance; the pending panels of all rows go to ``f``
+    together.  A row that needs more than ``PANEL_LIMIT`` panels raises
+    :class:`QuadratureError`, where ``where(i)`` describes row ``i``.  An
+    infinite ``b`` (with a scalar ``a``) runs on the growing cutoffs of
+    :func:`tail_quad`, under the same convergence contract.
     """
-    cache: dict[float, complex] = {}
+    if math.isinf(b):
 
-    def ev(t: float) -> complex:
-        z = cache.get(t)
-        if z is None:
-            z = complex(f(t))
-            cache[t] = z
-        return z
+        def piece(rows, lo, hi):
+            g = lambda i, t: f(rows[i], t)
+            return quad_complex(g, lo, hi, len(rows), lambda i: where(rows[i]))
 
-    re = quad_real(lambda t: ev(t).real, a, b)
-    im = quad_real(lambda t: ev(t).imag, a, b)
-    return complex(re, im)
+        return _staged_quad(piece, n, a, max(2.0 * a, 10.0), _grow, where)
+    a, b = np.zeros(n) + a, np.zeros(n) + b
+    span = b - a
+    out = np.zeros(n, dtype=complex)
+    # settled panels of unfinished rows, then the panels to evaluate
+    elem, lo, hi, rules = np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), np.zeros((0, 3, 2))
+    new_elem = np.flatnonzero(span > 0)
+    new_lo, new_hi = a[new_elem], b[new_elem]
+    while len(new_elem):
+        elem = np.concatenate([elem, new_elem])
+        lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
+        rules = np.concatenate([rules, _panel_rules(f, new_elem, new_lo, new_hi)])
+
+        # per-row sums of the 6 rule columns, in one pass
+        sums = np.bincount((6 * elem[:, None] + np.arange(6)).ravel(), rules.ravel(), 6 * n)
+        total, total_err, floor = sums.reshape(n, 3, 2).transpose(1, 0, 2)
+        tol = np.maximum(np.maximum(ABS_TOL, REL_TOL * np.abs(total)), floor)
+        short = ~(total_err <= tol)  # a NaN error is short too
+        done = ~short.any(axis=1)
+        finished = np.unique(elem[done[elem]])
+        out[finished] += total[finished, 0] + 1j * total[finished, 1]
+
+        pending = ~done[elem]
+        share = (hi - lo) / span[elem]
+        split = pending & (short[elem] & ~(rules[:, 1] <= tol[elem] * share[:, None])).any(axis=1)
+        count = np.bincount(elem[pending], minlength=n) + np.bincount(elem[split], minlength=n)
+        finite = np.isfinite(total).all(axis=1) & np.isfinite(total_err).all(axis=1)
+        stuck = np.flatnonzero((count > PANEL_LIMIT) | ~finite)
+        if len(stuck):
+            i = stuck[0]
+            part = int(np.argmax(np.nan_to_num(total_err[i] / tol[i], nan=np.inf)))
+            raise QuadratureError(
+                f"quadrature on ({a[i]:.6g}, {b[i]:.6g}){where(i)} did not converge: "
+                f"achieved abs error {total_err[i, part]:.3e}, requested "
+                f"{tol[i, part]:.3e}, with at most {PANEL_LIMIT} subintervals",
+                achieved=float(total_err[i, part]),
+                requested=float(tol[i, part]),
+            )
+        stay = pending & ~split
+        mid = 0.5 * (lo[split] + hi[split])
+        new_elem = np.repeat(elem[split], 2)
+        new_lo = np.stack([lo[split], mid], 1).ravel()
+        new_hi = np.stack([mid, hi[split]], 1).ravel()
+        elem, lo, hi, rules = elem[stay], lo[stay], hi[stay], rules[stay]
+    return out
 
 
 # each stage moves the open end of a staged integral by this factor
@@ -135,31 +213,47 @@ _STAGE_FACTOR = 4.0
 _MAX_STAGES = 40
 
 
-def _staged_quad(f, lo: float, hi: float, next_piece) -> tuple[float, bool]:
-    """Sum ``f`` over the piece ``(lo, hi)`` and the pieces that
-    ``next_piece(lo, hi)`` yields after it, until two increments in a row
-    are negligible.  Returns ``(value, converged)``."""
-    try:
-        total = quad_real(f, lo, hi)
-    except QuadratureError:
-        return np.nan, False
-    small_streak = 0
+def _grow(lo: float, hi: float) -> tuple[float, float]:
+    return hi, _STAGE_FACTOR * hi
+
+
+def _staged_quad(integrate, n: int, lo: float, hi: float, next_piece, where=lambda i: ""):
+    """Sums ``(n,)`` of ``integrate(rows, lo, hi)`` over the piece
+    ``(lo, hi)`` and the pieces that ``next_piece(lo, hi)`` yields after it.
+    A row stops after two increments in a row whose parts are each within
+    ``max(10 ABS_TOL, REL_TOL |part of its sum|)``, and raises
+    :class:`QuadratureError` if it has not after ``_MAX_STAGES`` pieces."""
+    rows = np.arange(n)
+    total = integrate(rows, lo, hi)
+    streak = np.zeros(n, dtype=int)
     for _ in range(_MAX_STAGES):
         lo, hi = next_piece(lo, hi)
-        try:
-            inc = quad_real(f, lo, hi)
-        except QuadratureError:
-            return total, False
-        total += inc
-        if not np.isfinite(total) or abs(total) > 1e12:
-            return total, False
-        if abs(inc) <= max(10.0 * ABS_TOL, REL_TOL * abs(total)):
-            small_streak += 1
-            if small_streak >= 2:
-                return total, True
-        else:
-            small_streak = 0
-    return total, False
+        inc = integrate(rows, lo, hi)
+        total[rows] += inc
+        now = total[rows]
+        inc2 = np.abs(np.stack([inc.real, inc.imag], 1))
+        tol = np.maximum(10.0 * ABS_TOL, REL_TOL * np.abs(np.stack([now.real, now.imag], 1)))
+        streak[rows] = np.where((inc2 <= tol).all(axis=1), streak[rows] + 1, 0)
+        keep = streak[rows] < 2
+        rows, inc2, tol = rows[keep], inc2[keep], tol[keep]
+        if not len(rows):
+            return total
+    part = int(np.argmax(inc2[0] / tol[0]))
+    raise QuadratureError(
+        f"staged quadrature{where(rows[0])} did not settle by ({lo:.6g}, {hi:.6g}): "
+        f"last increment {inc2[0, part]:.3e}, requested {tol[0, part]:.3e}",
+        achieved=float(inc2[0, part]),
+        requested=float(tol[0, part]),
+    )
+
+
+def _staged_real(f, lo: float, hi: float, next_piece) -> tuple[float, bool]:
+    piece = lambda rows, a, b: np.array([quad_real(f, a, b)])
+    try:
+        total = _staged_quad(piece, 1, lo, hi, next_piece)
+    except QuadratureError:
+        return np.nan, False
+    return float(total[0]), True
 
 
 def tail_quad(f: Callable[[float], float], a: float) -> tuple[float, bool]:
@@ -169,7 +263,7 @@ def tail_quad(f: Callable[[float], float], a: float) -> tuple[float, bool]:
     partial integrals fail to stabilize, which is how callers detect a
     (numerically) divergent tail without pretending to prove divergence.
     """
-    return _staged_quad(f, a, max(2.0 * a, 10.0), lambda lo, hi: (hi, _STAGE_FACTOR * hi))
+    return _staged_real(f, a, max(2.0 * a, 10.0), _grow)
 
 
 def head_quad(f: Callable[[float], float], b: float) -> tuple[float, bool]:
@@ -178,4 +272,4 @@ def head_quad(f: Callable[[float], float], b: float) -> tuple[float, bool]:
     Same convergence contract as :func:`tail_quad`, used to probe
     integrability at the origin.
     """
-    return _staged_quad(f, b / _STAGE_FACTOR, b, lambda lo, hi: (lo / _STAGE_FACTOR, lo))
+    return _staged_real(f, b / _STAGE_FACTOR, b, lambda lo, hi: (lo / _STAGE_FACTOR, lo))

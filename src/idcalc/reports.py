@@ -74,12 +74,14 @@ def grid_check(
 
     Each side evaluates the whole grid as one batch; a one-vector
     evaluator is lifted with a row loop (see :func:`idcalc.core.as_batched`).
+    A side given as an array is taken as its values on the grid.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim == 1:
         grid = grid.reshape(-1, 1)
-    lhs_vals = as_batched(lhs)(grid)
-    rhs_vals = as_batched(rhs)(grid)
+    lhs_vals, rhs_vals = (
+        side if isinstance(side, np.ndarray) else as_batched(side)(grid) for side in (lhs, rhs)
+    )
     diffs = np.abs(lhs_vals - rhs_vals)
     worst = float(diffs.max(initial=0.0))
     points = [

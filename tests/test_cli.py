@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +172,8 @@ def test_factor_command(measures, tmp_path):
     assert rows[0] == ["y", "rho_re", "rho_im"]
     got = {float(r[0]): float(r[1]) for r in rows[1:]}
     assert got[1.0] == pytest.approx(-0.125, abs=1e-10)  # quarter variance
+    # the CSV is the factor's exponent the report recorded
+    assert [[float(r[1]), float(r[2])] for r in rows[1:]] == [p["rho"] for p in doc["points"]]
 
 
 def test_simulate_command(measures, tmp_path):
@@ -286,4 +289,22 @@ def test_verify_prop2_on_full_triplet_spec(measures, tmp_path):
          "--grid", "1", "--out", str(out)]
     )
     assert code == 0
+    assert read_report(out)["pass"] is True
+
+
+def readme_spec() -> dict:
+    """The full triplet spec the README shows: an atom at 2 plus r^-1.5 on (0, 1)."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+@pytest.mark.parametrize(
+    "argv", [["factor", "--beta", "1"], ["verify", "--identity", "lemma1e", "--beta", "1"]],
+    ids=["factor", "lemma1e"],
+)
+def test_readme_example_spec_passes(tmp_path, argv):
+    spec = tmp_path / "readme.json"
+    spec.write_text(json.dumps(readme_spec()), encoding="utf-8")
+    out = tmp_path / "rep.json"
+    assert main(argv + ["--measure", str(spec), "--out", str(out)]) == 0
     assert read_report(out)["pass"] is True

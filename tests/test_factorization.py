@@ -223,8 +223,9 @@ def test_cor5_heavy_tail_source(beta):
 
 def test_cor5_kink_of_smeared_density_is_a_break_point(monkeypatch):
     # an exp density starting at lo > 0 smears to a density that bends at
-    # lo; below that radius the test intervals cross the bend, and must cost
-    # about what the same density from 0 costs
+    # lo; the test intervals and the tails beyond them cross the bend, and
+    # must cost about what the same density from 0 costs (neither 0.3 nor
+    # 0.7 is an end of the mesh)
     from idcalc import core, mappings, measure_from_spec, quadrature
 
     evals = [0]
@@ -240,7 +241,7 @@ def test_cor5_kink_of_smeared_density_is_a_break_point(monkeypatch):
     for mod in (core, mappings, quadrature):
         monkeypatch.setattr(mod, "quad_real", counting)
     cost = {}
-    for lo in (0.5, 0.0):
+    for lo in (0.3, 0.7, 0.0):
         dens = {"lo": lo, "hi": "inf", "kind": "exp", "coef": 0.6, "exponent": 0, "rate": 2}
         ray = {"direction": [1.0], "atoms": [{"r": 0.7, "w": 0.5}], "densities": [dens]}
         G = measure_from_spec({"dim": 1, "spectral": {"rays": [ray]}}).triplet.M
@@ -248,7 +249,7 @@ def test_cor5_kink_of_smeared_density_is_a_break_point(monkeypatch):
         rep = verify_corollary5(G, 1.0, mesh=dyadic_mesh(2, 3))
         assert rep.passed, rep.summary()
         cost[lo] = evals[0]
-    assert cost[0.5] <= 3 * cost[0.0], cost
+    assert max(cost[0.3], cost[0.7]) <= 2 * cost[0.0], cost
 
 
 def test_dyadic_mesh_span():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from idcalc.errors import QuadratureError
@@ -23,8 +24,9 @@ def test_quad_real_honors_breakpoints():
 
 def test_quad_complex_unit_circle():
     # integral of exp(it) over (0, pi) is 2i
-    val = quad_complex(lambda t: complex(math.cos(t), math.sin(t)), 0.0, math.pi)
-    assert val == pytest.approx(2j, abs=1e-12)
+    val = quad_complex(lambda rows, t: np.exp(1j * t), 0.0, math.pi, 1)
+    assert val.shape == (1,)
+    assert val[0] == pytest.approx(2j, abs=1e-12)
 
 
 def test_quad_real_raises_on_nonconvergence():
