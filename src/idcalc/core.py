@@ -29,8 +29,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
-from .quadrature import head_quad, quad_complex, quad_real, tail_quad
+from .errors import QuadratureError, ValidationError
+from .quadrature import from_origin, head_quad, origin_power, quad_complex, quad_real, tail_quad
 
 UNIT_BALL_RADIUS = 1.0
 
@@ -99,12 +99,16 @@ class RadialAtom:
 class DensitySegment:
     """Radial density ``g(r) >= 0`` supported on ``(lo, hi)``.
 
-    ``kind`` tags densities with a closed form ("power", "exp") so that
-    integrability questions can be answered symbolically.  Generic
-    callables may carry analytic hints instead:
+    ``fn`` maps an array of radii to the array of density values, as an
+    exponent maps a batch of frequencies: every radial integral evaluates
+    it on whole panels of quadrature nodes.  ``kind`` tags densities with
+    a closed form ("power", "exp") so that integrability questions can be
+    answered symbolically.  Generic callables may carry analytic hints
+    instead:
 
     * ``small_r_power`` -- p such that g(r) ~ C r^p as r -> 0 (only
-      meaningful when lo == 0),
+      meaningful when lo == 0; ``char_exponent`` substitutes
+      ``r = u**m`` at the origin when p < -2),
     * ``tail_mass_finite`` -- whether the mass on (1, hi) is finite,
     * ``log_tail`` -- "finite"/"divergent" for the integral of
       log(r) g(r) over the tail beyond radius 1.
@@ -117,7 +121,7 @@ class DensitySegment:
     non-convergent answer is reported as such, never asserted.
     """
 
-    fn: Callable[[float], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     lo: float
     hi: float
     kind: str = "callable"
@@ -164,7 +168,7 @@ def exp_segment(coef: float, exponent: float, rate: float, lo: float, hi: float)
     if not (math.isfinite(rate) and rate > 0):
         raise ValidationError(f"rate must be > 0, got {rate}")
     return DensitySegment(
-        fn=lambda r, c=coef, p=exponent, lam=rate: c * r**p * math.exp(-lam * r),
+        fn=lambda r, c=coef, p=exponent, lam=rate: c * r**p * np.exp(-lam * r),
         lo=lo,
         hi=hi,
         kind="exp",
@@ -178,7 +182,7 @@ def exp_segment(coef: float, exponent: float, rate: float, lo: float, hi: float)
 
 
 def callable_segment(
-    fn: Callable[[float], float],
+    fn: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     small_r_power: Optional[float] = None,
@@ -186,7 +190,8 @@ def callable_segment(
     log_tail: Optional[str] = None,
     kinks: Sequence[float] = (),
 ) -> DensitySegment:
-    """Generic density segment with optional analytic hints."""
+    """Generic density segment with optional analytic hints; ``fn`` maps
+    an array of radii to an array of density values."""
     return DensitySegment(
         fn=fn,
         lo=lo,
@@ -210,30 +215,28 @@ def scale_segment(seg: DensitySegment, c: float) -> DensitySegment:
     return replace(seg, fn=lambda r, g=seg.fn, c=c: c * g(r))
 
 
-def _segment_mass(seg: DensitySegment, a: float, b: float, weight=None) -> float:
-    """Integral of ``weight(r) * g(r)`` over ``(a, b)`` clipped to the support.
+def _segment_mass(seg: DensitySegment, a: np.ndarray, b: np.ndarray, weight=None):
+    """Integrals ``(n,)`` of ``weight(r) * g(r)`` over the intervals
+    ``(a_i, b_i)`` clipped to the support, all in one quadrature call.
 
-    ``weight=None`` means plain mass.  The clipped lower endpoint must be
-    positive or the weighted integrand integrable; callers are expected to
+    ``weight=None`` means plain mass.  Unbounded intervals are staged from
+    past their lower end and the last kink.  A clipped lower end of 0 must
+    leave the weighted integrand integrable; callers are expected to
     respect the segment's validity.
     """
-    a = max(a, seg.lo)
-    b = min(b, seg.hi)
-    if b <= a:
-        return 0.0
+    a, b = np.maximum(a, seg.lo), np.minimum(b, seg.hi)
     f = seg.fn if weight is None else (lambda r, g=seg.fn, w=weight: w(r) * g(r))
-    points = [UNIT_BALL_RADIUS, *seg.kinks]
-    if math.isinf(b):
-        # the staged tail starts past the last kink
-        k = max((x for x in seg.kinks if x > a), default=a)
-        head = quad_real(f, a, k, points=points) if k > a else 0.0
-        val, ok = tail_quad(f, k)
-        if not ok:
+    tail = np.isinf(b) & (b > a)
+    k = np.maximum(a, max(seg.kinks, default=0.0))
+    out = quad_real(f, a, np.where(tail, k, b), points=[UNIT_BALL_RADIUS, *seg.kinks])
+    if tail.any():
+        try:
+            out[tail] += quad_complex(lambda rows, r: f(r), k[tail], math.inf, tail.sum()).real
+        except QuadratureError:
             raise ValidationError(
                 "tail integral did not converge; segment violates finite-mass requirement"
-            )
-        return head + val
-    return quad_real(f, a, b, points=points)
+            ) from None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -301,20 +304,21 @@ class SpectralMeasure:
 
     # -- radial integrals used by the calculus and the sampler ------------
 
-    def ray_integral(
-        self, ray_index: int, a: float, b: float, weight: Optional[Callable] = None
-    ) -> float:
+    def ray_integral(self, ray_index: int, a, b, weight: Optional[Callable] = None):
         """Integral of ``weight(r)`` (1 when ``None``) over the radii in
-        ``(a, b]`` of one ray: its atoms, then its density segments."""
+        ``(a, b]`` of one ray: its atoms, then its density segments.  For
+        arrays of ends, the integrals over each ``(a_i, b_i]``, with each
+        segment's intervals integrated in one call."""
         ray = self.rays[ray_index]
-        total = sum(
-            at.w if weight is None else at.w * weight(at.r)
-            for at in ray.atoms
-            if a < at.r <= b
-        )
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        shape, a, b = a.shape, a.ravel(), b.ravel()
+        total = np.zeros(a.size)
+        for at in ray.atoms:
+            w = at.w if weight is None else at.w * weight(at.r)
+            total += np.where((a < at.r) & (at.r <= b), w, 0.0)
         for seg in ray.densities:
             total += _segment_mass(seg, a, b, weight)
-        return total
+        return float(total[0]) if not shape else total.reshape(shape)
 
     def interval_mass(self, ray_index: int, r1: float, r2: float) -> float:
         """Mass of the radial interval ``(r1, r2]`` on one ray."""
@@ -418,7 +422,7 @@ def validate_spectral(M: SpectralMeasure) -> SpectralCheck:
             if math.isfinite(seg.hi) and seg.lo > 0:
                 # interior segment: only needs plain integrability
                 try:
-                    _segment_mass(seg, seg.lo, seg.hi)
+                    _segment_mass(seg, np.array([seg.lo]), np.array([seg.hi]))
                 except Exception:
                     violations.append(f"ray {i} density {j}: mass integral failed")
     return SpectralCheck(ok=not violations, violations=tuple(violations))
@@ -445,22 +449,13 @@ def log_moment(M: SpectralMeasure) -> LogMoment:
     """
     total = 0.0
     inconclusive = False
-    for ray in M.rays:
-        total += sum(at.w * math.log(at.r) for at in ray.atoms if at.r > 1.0)
-        for seg in ray.densities:
-            a = max(seg.lo, 1.0)
-            if seg.hi <= a:
-                continue
-            if math.isinf(seg.hi):
-                if seg.log_tail == "divergent":
-                    return LogMoment("infinite")
-                val, ok = tail_quad(lambda r, g=seg.fn: math.log(r) * g(r), a)
-                if not ok:
-                    inconclusive = True
-                else:
-                    total += val
-            else:
-                total += quad_real(lambda r, g=seg.fn: math.log(r) * g(r), a, seg.hi)
+    for i, ray in enumerate(M.rays):
+        if any(math.isinf(seg.hi) and seg.log_tail == "divergent" for seg in ray.densities):
+            return LogMoment("infinite")
+        try:
+            total += M.ray_integral(i, 1.0, math.inf, np.log)
+        except ValidationError:  # a tail integral that did not settle
+            inconclusive = True
     if inconclusive:
         return LogMoment("inconclusive-divergent")
     return LogMoment("finite", total)
@@ -548,10 +543,13 @@ def char_exponent(triplet: LevyTriplet, y):
     integrated for the whole batch by :func:`idcalc.quadrature.quad_complex`,
     each part to ``max(1e-14, 1e-10 |part|)``, split at the compensator
     kink at radius 1.  From the origin, ``power`` and ``exp`` segments
-    take the exact power series on ``(0, r0)``; unbounded supports are
-    integrated on growing cutoffs until the increments settle, and raise
-    :class:`QuadratureError` when they do not (heavy ``power`` tails, and
-    slowly decaying ``exp`` tails at high frequency, can).
+    take the exact power series on ``(0, r0)``, and callables whose
+    ``small_r_power`` is below -2 are integrated over ``u`` after
+    ``r = u**m`` (:func:`idcalc.quadrature.origin_power`).  Unbounded
+    supports are integrated on growing cutoffs until the increments
+    settle, and raise :class:`QuadratureError` when they do not (heavy
+    ``power`` tails, and slowly decaying ``exp`` tails at high frequency,
+    can).
     """
     one = np.ndim(y) != 2
     Y = _as_vector(y, triplet.dim)[None, :] if one else _as_batch(y, triplet.dim)
@@ -567,26 +565,23 @@ def char_exponent(triplet: LevyTriplet, y):
     return complex(val[0]) if one else val
 
 
-def _density_values(seg: DensitySegment, r: np.ndarray) -> np.ndarray:
-    """The density at the nodes ``r``; callables are called once per
-    distinct node."""
-    if seg.kind in ("power", "exp"):
-        return seg.coef * r**seg.exponent * (np.exp(-seg.rate * r) if seg.rate else 1.0)
-    nodes, back = np.unique(r, return_inverse=True)
-    return np.array([seg.fn(t) for t in nodes])[back].reshape(r.shape)
-
-
 def _density_terms(seg: DensitySegment, c: np.ndarray, where) -> np.ndarray:
     """Integral of ``g(r) (exp(i r c) - 1 - i r c 1{r <= 1})`` over the
     segment, for every projection ``c``."""
-    f = lambda rows, r: _density_values(seg, r) * _atom_terms(r, c[rows, None])
+    f = lambda rows, r: seg.fn(r) * _atom_terms(r, c[rows, None])
     out = np.zeros(len(c), dtype=complex)
-    lo, cut = seg.lo, min(seg.hi, UNIT_BALL_RADIUS)
-    if lo == 0.0 and seg.kind in ("power", "exp"):
-        lo = np.minimum(cut, 1.0 / (np.abs(c) + (seg.rate or 0.0)))
-        out += _origin_series(seg, c, lo)
+    cut = min(seg.hi, UNIT_BALL_RADIUS)
     if seg.lo < cut:
-        out += quad_complex(f, lo, cut, len(c), where)
+        head, lo, hi = f, seg.lo, cut
+        if seg.lo == 0.0 and seg.kind in ("power", "exp"):
+            lo = np.minimum(cut, 1.0 / (np.abs(c) + (seg.rate or 0.0)))
+            out += _origin_series(seg, c, lo)
+        elif seg.lo == 0.0 and seg.small_r_power is not None:
+            # the integrand is ~ r^(p+2) at 0
+            m = origin_power(seg.small_r_power + 2.0)
+            if m > 1.0:
+                head, hi = from_origin(f, np.full(len(c), cut), np.full(len(c), m)), 1.0
+        out += quad_complex(head, lo, hi, len(c), where)
     a = max(seg.lo, UNIT_BALL_RADIUS)
     if seg.hi > a:
         out += quad_complex(f, a, seg.hi, len(c), where)

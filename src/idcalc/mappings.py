@@ -41,7 +41,7 @@ from .core import (
     power_segment,
 )
 from .errors import DomainError, ValidationError
-from .quadrature import ROW_CAP, quad_complex, quad_real
+from .quadrature import ROW_CAP, quad_complex
 
 __all__ = [
     "check_beta",
@@ -59,6 +59,8 @@ __all__ = [
 # lower split point for the weighted integrals of i_map / i_of_j_beta;
 # below it the exponent is replaced by its two-term expansion at 0
 SMALL_U_SPLIT = 1e-6
+# finite-difference step of j_beta_inverse
+FD_STEP = 1e-5
 
 
 def check_beta(beta: float) -> float:
@@ -93,66 +95,38 @@ def sigma_clock(beta: float, s):
 # ---------------------------------------------------------------------------
 
 
-def _smear_kinks(seg: DensitySegment) -> tuple[float, ...]:
-    """Interior kinks of a smeared segment: the source's own, and its
-    lower support end, below which the inner integral stops moving."""
-    return (*seg.kinks, seg.lo) if seg.lo > 0 else seg.kinks
-
-
-def _smear_power_segment(seg: DensitySegment, beta: float) -> DensitySegment:
-    """Closed-form smear of a power density ``c r^p`` on (lo, hi)."""
-    c, p, lo, hi = seg.coef, seg.exponent, seg.lo, seg.hi
-    q = p - beta + 1.0
-
-    def inner(a: float, b: float) -> float:
-        if b <= a:
-            return 0.0
-        if q == 0.0:
-            return math.log(b / a)
-        return (b**q - a**q) / q
-
-    def g_out(rho: float) -> float:
-        if rho <= 0 or rho >= hi:
-            return 0.0
-        return beta * rho ** (beta - 1.0) * c * inner(max(rho, lo), hi)
-
-    small = beta - 1.0 if lo > 0 else min(p, beta - 1.0)
-    return callable_segment(
-        g_out,
-        lo=0.0,
-        hi=hi,
-        small_r_power=small,
-        tail_mass_finite=True if seg.tail_mass_finite else seg.tail_mass_finite,
-        kinks=_smear_kinks(seg),
-    )
-
-
-def _smear_generic_segment(seg: DensitySegment, beta: float) -> DensitySegment:
-    """Quadrature smear: one inner integral per evaluated radius."""
+def _smear_segment(seg: DensitySegment, beta: float) -> DensitySegment:
+    """Smear of one density: ``beta rho^(beta-1)`` times the integral of
+    ``s^-beta g(s)`` over ``s > rho`` within the support.  The inner
+    integral is in closed form for a power density; otherwise the inner
+    integrals of a batch of radii are the rows of one quadrature call."""
     lo, hi = seg.lo, seg.hi
-    g = seg.fn
-
-    def g_out(rho: float) -> float:
-        if rho <= 0 or rho >= hi:
-            return 0.0
-        a = max(rho, lo)
-        val = quad_real(lambda s: s**-beta * g(s), a, hi, rel_tol=1e-9)
-        return beta * rho ** (beta - 1.0) * val
-
-    if lo > 0:
-        small = beta - 1.0
-    elif seg.small_r_power is not None:
-        small = min(seg.small_r_power, beta - 1.0)
+    if seg.kind == "power":
+        c, q = seg.coef, seg.exponent - beta + 1.0
+        inner = lambda a: c * (np.log(hi / a) if q == 0.0 else (hi**q - a**q) / q)
     else:
-        small = None
+        h = lambda rows, s, g=seg.fn: s**-beta * g(s)
+        inner = lambda a: quad_complex(h, a, hi, a.size).real
+
+    def g_out(rho):
+        rho = np.asarray(rho, dtype=float)
+        out = np.zeros(rho.shape)
+        inside = (rho > 0) & (rho < hi)
+        r = rho[inside]
+        if r.size:
+            out[inside] = beta * r ** (beta - 1.0) * inner(np.maximum(r, lo))
+        return out
+
+    p = seg.small_r_power
     return callable_segment(
         g_out,
         lo=0.0,
         hi=hi,
-        small_r_power=small,
+        small_r_power=beta - 1.0 if lo > 0 else (None if p is None else min(p, beta - 1.0)),
         # the smear never increases mass outside a neighborhood of zero
         tail_mass_finite=True if seg.tail_mass_finite else seg.tail_mass_finite,
-        kinks=_smear_kinks(seg),
+        # the inner integral stops moving below the source's lower end
+        kinks=(*seg.kinks, lo) if lo > 0 else seg.kinks,
     )
 
 
@@ -171,11 +145,7 @@ def smear_spectral(M: SpectralMeasure, beta: float) -> SpectralMeasure:
         segs = []
         for at in ray.atoms:
             segs.append(power_segment(at.w * b / at.r**b, b - 1.0, 0.0, at.r))
-        for seg in ray.densities:
-            if seg.kind == "power":
-                segs.append(_smear_power_segment(seg, b))
-            else:
-                segs.append(_smear_generic_segment(seg, b))
+        segs += [_smear_segment(seg, b) for seg in ray.densities]
         rays.append(RadialComponent(ray.direction, atoms=(), densities=tuple(segs)))
     return SpectralMeasure(tuple(rays))
 
@@ -269,26 +239,24 @@ def j_beta(mu: IdMeasure, beta: float) -> IdMeasure:
     )
 
 
-def j_beta_inverse(mu: IdMeasure, beta: float, step: float = 1e-5) -> IdMeasure:
+def j_beta_inverse(mu: IdMeasure, beta: float) -> IdMeasure:
     """Inverse of :func:`j_beta` on exponents.
 
     Recovers ``phi_nu(y)`` as the derivative at s = 1 of
-    ``s * phi_mu(s**(1/beta) y)``, by central differences with one
-    Richardson extrapolation level; the four points go to ``mu`` as one
-    batch.  No triplet is produced.
+    ``s * phi_mu(s**(1/beta) y)``, by central differences of step
+    ``FD_STEP`` with one Richardson extrapolation level; the four points
+    go to ``mu`` as one batch.  No triplet is produced.
     """
     b = check_beta(beta)
-    if not (0 < step < 0.5):
-        raise ValidationError(f"finite-difference step out of range: {step}")
     src = mu.exponent
-    s = 1.0 + step * np.array([1.0, -1.0, 0.5, -0.5])
+    s = 1.0 + FD_STEP * np.array([1.0, -1.0, 0.5, -0.5])
     scale = s ** (1.0 / b)
 
     def phi(Y):
         rows = (scale[:, None, None] * Y[None, :, :]).reshape(-1, Y.shape[1])
         g = s[:, None] * _evaluate(src, rows).reshape(4, len(Y))
-        d1 = (g[0] - g[1]) / (2.0 * step)
-        d2 = (g[2] - g[3]) / step
+        d1 = (g[0] - g[1]) / (2.0 * FD_STEP)
+        d2 = (g[2] - g[3]) / FD_STEP
         return (4.0 * d2 - d1) / 3.0
 
     return IdMeasure(
@@ -316,31 +284,24 @@ def _require_log_moment(mu: IdMeasure, assume_id_log: bool, what: str) -> None:
         )
 
 
-def i_map(
-    mu: IdMeasure, assume_id_log: bool = False, delta: float = SMALL_U_SPLIT
-) -> IdMeasure:
+def i_map(mu: IdMeasure, assume_id_log: bool = False) -> IdMeasure:
     """Selfdecomposability mapping: exponential kernel over (0, inf).
 
     Exponent: integral over u in (0, 1] of ``phi(u y)/u``, split at
-    ``delta``; below the split the integrand is integrated through the
-    two-term expansion of ``phi`` at the origin.
+    ``SMALL_U_SPLIT``; below the split the integrand is integrated through
+    the two-term expansion of ``phi`` at the origin.
 
     Requires a finite log moment unless overridden.
     """
     _require_log_moment(mu, assume_id_log, "i_map")
     return IdMeasure(
         dim=mu.dim,
-        exponent=radial_map(mu, lambda u: 1.0 / u, lo=delta, head=(1.0, 0.5)),
+        exponent=radial_map(mu, lambda u: 1.0 / u, lo=SMALL_U_SPLIT, head=(1.0, 0.5)),
         label=f"imap({mu.label})",
     )
 
 
-def i_of_j_beta(
-    mu: IdMeasure,
-    beta: float,
-    assume_id_log: bool = False,
-    delta: float = SMALL_U_SPLIT,
-) -> IdMeasure:
+def i_of_j_beta(mu: IdMeasure, beta: float, assume_id_log: bool = False) -> IdMeasure:
     """Composition of ``i_map`` after ``j_beta`` in a single quadrature.
 
     Exponent: integral over u in (0, 1) of
@@ -349,6 +310,7 @@ def i_of_j_beta(
     """
     b = check_beta(beta)
     _require_log_moment(mu, assume_id_log, "i_of_j_beta")
+    delta = SMALL_U_SPLIT
     head = (1.0 - delta**b / (b + 1.0), 0.5 - delta**b / (b + 2.0))
     return IdMeasure(
         dim=mu.dim,

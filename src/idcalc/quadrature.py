@@ -1,18 +1,19 @@
-"""Adaptive quadrature helpers for the exponent calculus.
+"""Adaptive quadrature for the exponent calculus: one batched rule.
 
-Finite intervals go through QUADPACK's adaptive Gauss-Kronrod rules
-(``scipy.integrate.quad``) at relative tolerance 1e-10 with an absolute
-floor of 1e-14.  Integrals over unbounded tails, and integrals whose
-convergence at an endpoint is itself in question, are evaluated on a
-growing (or shrinking) sequence of cutoffs so that non-convergence is
-detected and reported instead of silently trusted.
+:func:`quad_complex` is the package's integrator: QUADPACK's 21-point
+Gauss-Kronrod rule with its error heuristic (:func:`gk21`; Piessens et
+al., QUADPACK, 1983), applied to the panels of a whole batch of rows at
+once, each row bisecting on its own until its real and imaginary part
+each meet ``max(1e-14, 1e-10 |part|)``.  The radial transform of
+``mappings``, the density segments of ``core.char_exponent`` and every
+spectral mass go through it; :func:`quad_real` is its entry point for
+real integrands on intervals cut at break points.
 
-:func:`quad_complex` is the one complex integrator: QUADPACK's 21-point
-Gauss-Kronrod rule with its error heuristic (:func:`gk21`), applied to the
-panels of a whole batch of rows at once, each row bisecting on its own.
-Both the radial transform of ``mappings`` and the density segments of
-``core.char_exponent`` integrate with it; their unbounded supports run on
-the same staged cutoffs as :func:`tail_quad`.
+Integrals over unbounded tails, and integrals whose convergence at an
+endpoint is itself in question, are evaluated on a growing (or
+shrinking) sequence of cutoffs so that non-convergence is detected and
+reported instead of silently trusted (:func:`tail_quad`,
+:func:`head_quad`).
 """
 
 from __future__ import annotations
@@ -21,15 +22,11 @@ import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import QuadratureError
 
 REL_TOL = 1e-10
 ABS_TOL = 1e-14
-
-# QUADPACK returns an explanation string as a 4th element when it is unhappy.
-_MSG_SLOT = 3
 
 # QUADPACK's qk21 (Piessens et al., QUADPACK, 1983): Kronrod abscissae on
 # [0, 1) from the outside in, their weights, and the weights of the
@@ -86,56 +83,29 @@ def gk21(values: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     return resk * half, np.maximum(floor, err), floor
 
 
-def quad_real(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    points: Optional[Sequence[float]] = None,
-    rel_tol: float = REL_TOL,
-    abs_tol: float = ABS_TOL,
-) -> float:
-    """Integrate a real-valued integrand, raising on non-convergence."""
-    pts = None
-    if points is not None and np.isfinite(a) and np.isfinite(b):
-        pts = sorted(p for p in points if a < p < b)
-        if not pts:
-            pts = None
-    out = integrate.quad(
-        f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=300, points=pts, full_output=1
-    )
-    value, err = out[0], out[1]
-    if len(out) > _MSG_SLOT:
-        allowed = 10.0 * max(abs_tol, rel_tol * abs(value))
-        if not np.isfinite(value) or err > allowed:
-            raise QuadratureError(
-                f"quadrature on ({a!r}, {b!r}) did not converge: "
-                f"achieved abs error {err:.3e}, value {value:.6e}",
-                achieved=err,
-                requested=allowed,
-            )
-    return value
-
-
 # points per call to an integrand; nested maps multiply their batches by 21
 # per level, and the cap keeps each level's working set fixed
 ROW_CAP = 2048
-# subintervals one row may use, QUADPACK's limit in quad_real
+# subintervals one row may use
 PANEL_LIMIT = 300
 _PANELS_PER_CALL = ROW_CAP // GK21_NODES.size
+_SIX = np.arange(6)
 
 
 def _panel_rules(f, elem, a, b):
     """GK21 value, error and rounding floor ``(p, 3, 2)``, real and
     imaginary part, of each panel ``(a, b)`` of row ``elem``."""
-    out = np.empty((len(elem), 3, 2))
+    out = np.zeros((len(elem), 3, 2))
     for start in range(0, len(elem), _PANELS_PER_CALL):
         sl = slice(start, start + _PANELS_PER_CALL)
         half = 0.5 * (b[sl] - a[sl])
         z = f(elem[sl], (a[sl] + half)[:, None] + half[:, None] * GK21_NODES)
-        # real parts, then imaginary parts, as one batch of panels
-        rules = gk21(np.concatenate([z.real, z.imag]), np.concatenate([half, half]))
+        # real parts, then imaginary parts, as one batch of panels; a real
+        # integrand's imaginary part is exactly 0
+        parts = [z.real, z.imag] if np.iscomplexobj(z) else [z]
+        rules = gk21(np.concatenate(parts), np.tile(half, len(parts)))
         for q, rule in enumerate(rules):
-            out[sl, q] = rule.reshape(2, -1).T
+            out[sl, q, : len(parts)] = rule.reshape(len(parts), -1).T
     return out
 
 
@@ -152,42 +122,35 @@ def quad_complex(f, a, b, n: int, where=lambda i: "") -> np.ndarray:
     share of the tolerance; the pending panels of all rows go to ``f``
     together.  A row that needs more than ``PANEL_LIMIT`` panels raises
     :class:`QuadratureError`, where ``where(i)`` describes row ``i``.  An
-    infinite ``b`` (with a scalar ``a``) runs on the growing cutoffs of
-    :func:`tail_quad`, under the same convergence contract.
+    infinite ``b`` runs on the growing cutoffs of :func:`tail_quad`, from
+    each row's own ``a``, under the same convergence contract.
     """
-    if math.isinf(b):
-
-        def piece(rows, lo, hi):
-            g = lambda i, t: f(rows[i], t)
-            return quad_complex(g, lo, hi, len(rows), lambda i: where(rows[i]))
-
-        return _staged_quad(piece, n, a, max(2.0 * a, 10.0), _grow, where)
+    if np.ndim(b) == 0 and math.isinf(b):
+        return _staged_quad(f, n, a, np.maximum(2.0 * a, 10.0), _grow, where)
     a, b = np.zeros(n) + a, np.zeros(n) + b
     span = b - a
     out = np.zeros(n, dtype=complex)
-    # settled panels of unfinished rows, then the panels to evaluate
-    elem, lo, hi, rules = np.zeros(0, dtype=int), np.zeros(0), np.zeros(0), np.zeros((0, 3, 2))
-    new_elem = np.flatnonzero(span > 0)
-    new_lo, new_hi = a[new_elem], b[new_elem]
-    while len(new_elem):
-        elem = np.concatenate([elem, new_elem])
-        lo, hi = np.concatenate([lo, new_lo]), np.concatenate([hi, new_hi])
-        rules = np.concatenate([rules, _panel_rules(f, new_elem, new_lo, new_hi)])
-
+    # the panels of unfinished rows: row, ends and rules
+    elem = np.flatnonzero(span > 0)
+    lo, hi = a[elem], b[elem]
+    rules = _panel_rules(f, elem, lo, hi)
+    while len(elem):
         # per-row sums of the 6 rule columns, in one pass
-        sums = np.bincount((6 * elem[:, None] + np.arange(6)).ravel(), rules.ravel(), 6 * n)
+        sums = np.bincount((6 * elem[:, None] + _SIX).ravel(), rules.ravel(), 6 * n)
         total, total_err, floor = sums.reshape(n, 3, 2).transpose(1, 0, 2)
         tol = np.maximum(np.maximum(ABS_TOL, REL_TOL * np.abs(total)), floor)
         short = ~(total_err <= tol)  # a NaN error is short too
         done = ~short.any(axis=1)
-        finished = np.unique(elem[done[elem]])
-        out[finished] += total[finished, 0] + 1j * total[finished, 1]
+        # rows finished before have no panels left, and sums of 0
+        out[done] += total[done, 0] + 1j * total[done, 1]
+        finite = np.isfinite(total).all(axis=1) & np.isfinite(total_err).all(axis=1)
+        if done.all() and finite.all():
+            return out
 
         pending = ~done[elem]
         share = (hi - lo) / span[elem]
         split = pending & (short[elem] & ~(rules[:, 1] <= tol[elem] * share[:, None])).any(axis=1)
         count = np.bincount(elem[pending], minlength=n) + np.bincount(elem[split], minlength=n)
-        finite = np.isfinite(total).all(axis=1) & np.isfinite(total_err).all(axis=1)
         stuck = np.flatnonzero((count > PANEL_LIMIT) | ~finite)
         if len(stuck):
             i = stuck[0]
@@ -204,59 +167,136 @@ def quad_complex(f, a, b, n: int, where=lambda i: "") -> np.ndarray:
         new_elem = np.repeat(elem[split], 2)
         new_lo = np.stack([lo[split], mid], 1).ravel()
         new_hi = np.stack([mid, hi[split]], 1).ravel()
-        elem, lo, hi, rules = elem[stay], lo[stay], hi[stay], rules[stay]
+        rules = np.concatenate([rules[stay], _panel_rules(f, new_elem, new_lo, new_hi)])
+        elem = np.concatenate([elem[stay], new_elem])
+        lo, hi = np.concatenate([lo[stay], new_lo]), np.concatenate([hi[stay], new_hi])
     return out
 
 
 # each stage moves the open end of a staged integral by this factor
 _STAGE_FACTOR = 4.0
 _MAX_STAGES = 40
+# pieces integrated per call; each row of a piece refines on its own, so
+# the pieces past a row's stop cost work but change no value
+_STAGE_BLOCK = 4
 
 
 def _grow(lo: float, hi: float) -> tuple[float, float]:
     return hi, _STAGE_FACTOR * hi
 
 
-def _staged_quad(integrate, n: int, lo: float, hi: float, next_piece, where=lambda i: ""):
-    """Sums ``(n,)`` of ``integrate(rows, lo, hi)`` over the piece
-    ``(lo, hi)`` and the pieces that ``next_piece(lo, hi)`` yields after it.
-    A row stops after two increments in a row whose parts are each within
-    ``max(10 ABS_TOL, REL_TOL |part of its sum|)``, and raises
-    :class:`QuadratureError` if it has not after ``_MAX_STAGES`` pieces."""
-    rows = np.arange(n)
-    total = integrate(rows, lo, hi)
-    streak = np.zeros(n, dtype=int)
+def _staged_quad(f, n: int, lo, hi, next_piece, where=lambda i: ""):
+    """Integrals ``(n,)`` of ``f(rows, t)``, as in :func:`quad_complex`,
+    summed over the piece ``(lo, hi)`` and the pieces that
+    ``next_piece(lo, hi)`` yields after it; the ends are scalars or
+    per-row arrays.  A row stops after two increments in a row whose parts
+    are each within ``max(10 ABS_TOL, REL_TOL |part of its sum|)``, and
+    raises :class:`QuadratureError` if it has not after ``_MAX_STAGES``
+    pieces."""
+    pieces = [(np.zeros(n) + lo, np.zeros(n) + hi)]
     for _ in range(_MAX_STAGES):
-        lo, hi = next_piece(lo, hi)
-        inc = integrate(rows, lo, hi)
-        total[rows] += inc
-        now = total[rows]
-        inc2 = np.abs(np.stack([inc.real, inc.imag], 1))
-        tol = np.maximum(10.0 * ABS_TOL, REL_TOL * np.abs(np.stack([now.real, now.imag], 1)))
-        streak[rows] = np.where((inc2 <= tol).all(axis=1), streak[rows] + 1, 0)
-        keep = streak[rows] < 2
-        rows, inc2, tol = rows[keep], inc2[keep], tol[keep]
+        pieces.append(next_piece(*pieces[-1]))
+    rows = np.arange(n)
+    total = np.zeros(n, dtype=complex)
+    streak = np.zeros(n, dtype=bool)  # the last increment was small
+    for start in range(0, len(pieces), _STAGE_BLOCK):
+        # one quad_complex row per pair of a row and a piece, (row, piece)
+        lo, hi = np.array(pieces[start : start + _STAGE_BLOCK])[:, :, rows].transpose(1, 2, 0)
+        r = np.repeat(rows, lo.shape[1])
+        incs = quad_complex(lambda i, t: f(r[i], t), lo.ravel(), hi.ravel(), len(r),
+                            lambda i: where(r[i])).reshape(lo.shape)
+        # running sums, added one piece at a time
+        sums = np.cumsum(np.concatenate([total[rows, None], incs], axis=1), axis=1)[:, 1:]
+        inc2 = np.abs(np.stack([incs.real, incs.imag], 2))
+        tol = np.maximum(10.0 * ABS_TOL, REL_TOL * np.abs(np.stack([sums.real, sums.imag], 2)))
+        small = (inc2 <= tol).all(axis=2)
+        if start == 0:
+            small[:, 0] = False  # the first piece is no increment
+        stop = small & np.concatenate([streak[rows, None], small[:, :-1]], axis=1)
+        last = np.where(stop.any(axis=1), stop.argmax(axis=1), lo.shape[1] - 1)
+        total[rows] = sums[np.arange(len(rows)), last]
+        streak[rows] = small[:, -1]
+        live = ~stop.any(axis=1)
+        rows = rows[live]
         if not len(rows):
             return total
-    part = int(np.argmax(inc2[0] / tol[0]))
+    lo, hi = pieces[-1][0][rows[0]], pieces[-1][1][rows[0]]
+    inc2, tol = inc2[live][0, -1], tol[live][0, -1]
+    part = int(np.argmax(inc2 / tol))
     raise QuadratureError(
         f"staged quadrature{where(rows[0])} did not settle by ({lo:.6g}, {hi:.6g}): "
-        f"last increment {inc2[0, part]:.3e}, requested {tol[0, part]:.3e}",
-        achieved=float(inc2[0, part]),
-        requested=float(tol[0, part]),
+        f"last increment {inc2[part]:.3e}, requested {tol[part]:.3e}",
+        achieved=float(inc2[part]),
+        requested=float(tol[part]),
     )
 
 
+def origin_power(q: float) -> float:
+    """Power ``m`` of the substitution ``r = r0 u**m`` that turns an
+    integrand ``~ r**q`` at 0, ``-1 < q < 0``, into one ``~ u**0``:
+    ``1/(q+1)``, and 1 (none) for any other ``q``.  GK21 bisection cannot
+    meet its share of the tolerance next to an integrable singularity, and
+    an integer ``m`` above ``1/(q+1)`` leaves a power ``u**s``,
+    ``0 < s < 1``, that drives it deep towards 0."""
+    return 1.0 / (q + 1.0) if -1.0 < q < 0.0 else 1.0
+
+
+def from_origin(f, r0: np.ndarray, m: np.ndarray):
+    """``f(rows, r)`` on ``(0, r0_i)`` as an integrand of ``u`` on ``(0, 1)``
+    after ``r = r0_i u**m_i``, for per-row arrays ``r0`` and ``m``."""
+
+    def g(rows, u):
+        s, k = r0[rows, None], m[rows, None]
+        return f(rows, s * u**k) * (k * s * u ** (k - 1.0))
+
+    return g
+
+
+def quad_real(f: Callable[[np.ndarray], np.ndarray], a, b,
+              points: Optional[Sequence[float]] = None):
+    """Integral of a real integrand over the finite interval ``(a, b)``
+    (0 when ``b <= a``), raising :class:`QuadratureError` on
+    non-convergence; for arrays of ends, the integrals over each
+    ``(a_i, b_i)``.
+
+    ``f`` maps an array of abscissae to the array of its values.  Each
+    interval is cut at the break points ``points`` inside it, and the
+    pieces of all intervals are the rows of one :func:`quad_complex` call,
+    each held to the tolerance of its own value.  A piece from 0 is
+    integrated over ``u`` after ``r = r0 u**m``, with ``r0`` its right end
+    and ``m`` from the power of ``f`` at 0, read off ``f`` at two small
+    radii (:func:`origin_power`), so integrable power singularities there
+    converge.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    shape, a, b = a.shape, a.ravel(), np.maximum(a, b).ravel()
+    # each row's ends and the break points inside; absent points repeat b
+    pts = np.asarray(points or (), dtype=float)
+    inner = np.where((pts > a[:, None]) & (pts < b[:, None]), pts, b[:, None])
+    ends = np.sort(np.column_stack([a, inner, b]), axis=1)
+    lo, hi = ends[:, :-1].ravel(), ends[:, 1:].ravel()
+    g = lambda rows, t: f(t)
+    origin, m = (lo == 0.0) & (hi > 0.0), 1.0
+    if origin.any():
+        with np.errstate(all="ignore"):  # f may not be finite at 0
+            v = np.abs(f(hi[origin][0] * np.array([2.0**-40, 2.0**-39])))
+            m = origin_power(float(np.log2(v[1] / v[0])))
+    if m > 1.0:
+        g = from_origin(g, np.where(origin, hi, 1.0), np.where(origin, m, 1.0))
+        hi = np.where(origin, 1.0, hi)
+    val = quad_complex(g, lo, hi, lo.size).real.reshape(a.size, -1).sum(axis=1).reshape(shape)
+    return float(val) if val.ndim == 0 else val
+
+
 def _staged_real(f, lo: float, hi: float, next_piece) -> tuple[float, bool]:
-    piece = lambda rows, a, b: np.array([quad_real(f, a, b)])
     try:
-        total = _staged_quad(piece, 1, lo, hi, next_piece)
+        total = _staged_quad(lambda rows, t: f(t), 1, lo, hi, next_piece)
     except QuadratureError:
         return np.nan, False
-    return float(total[0]), True
+    return float(total[0].real), True
 
 
-def tail_quad(f: Callable[[float], float], a: float) -> tuple[float, bool]:
+def tail_quad(f: Callable[[np.ndarray], np.ndarray], a: float) -> tuple[float, bool]:
     """Integrate ``f`` over ``(a, inf)`` on a growing cutoff sequence.
 
     Returns ``(value, converged)``.  ``converged`` is False when the
@@ -266,7 +306,7 @@ def tail_quad(f: Callable[[float], float], a: float) -> tuple[float, bool]:
     return _staged_real(f, a, max(2.0 * a, 10.0), _grow)
 
 
-def head_quad(f: Callable[[float], float], b: float) -> tuple[float, bool]:
+def head_quad(f: Callable[[np.ndarray], np.ndarray], b: float) -> tuple[float, bool]:
     """Integrate ``f`` over ``(0, b]`` on a shrinking cutoff sequence.
 
     Same convergence contract as :func:`tail_quad`, used to probe

@@ -157,7 +157,7 @@ class _JumpModel:
                 lo = max(seg.lo, eps)
                 if lo >= seg.hi:
                     continue
-                mass = _segment_mass(seg, lo, math.inf)
+                mass = _segment_mass(seg, np.array([lo]), np.array([math.inf]))[0]
                 if mass <= 0.0:
                     continue
                 masses.append(mass)
@@ -189,7 +189,7 @@ class _JumpModel:
                 if hi > 1e15:
                     raise ValidationError("segment tail decays too slowly to sample")
         r = np.geomspace(lo, hi, _TABLE_NODES)
-        g = np.array([seg.fn(x) for x in r])
+        g = seg.fn(r)
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(r))])
         if cdf[-1] <= 0:
             raise ValidationError("segment has no mass to sample")
@@ -350,12 +350,16 @@ class CfTestResult:
         return self.status == "pass"
 
 
+# cf_distance_test: fewer samples are inconclusive; a standard error at or
+# below SE_FLOOR is degenerate; a difference at or below DIFF_FLOOR scores 0
+N_MIN = 100
+SE_FLOOR = 1e-13
+DIFF_FLOOR = 1e-12
+
+
 def cf_distance_test(
     est: EcfEstimate,
     exponent: Callable[[np.ndarray], complex],
-    n_min: int = 100,
-    se_floor: float = 1e-13,
-    diff_floor: float = 1e-12,
     det_tol: float = 0.0,
 ) -> CfTestResult:
     """Per-point z-scores of the ecf against ``exp(exponent)``.
@@ -365,7 +369,7 @@ def cf_distance_test(
     leaves no statistical band; such points are judged against
     ``det_tol`` when the caller supplies a discretization allowance,
     otherwise the whole run comes back "inconclusive".  Sample counts
-    below ``n_min`` are always inconclusive.  The exponent is evaluated
+    below ``N_MIN`` are always inconclusive.  The exponent is evaluated
     on the whole grid as one batch.
     """
     target = np.exp(as_batched(exponent)(est.grid))
@@ -373,9 +377,9 @@ def cf_distance_test(
     z = np.zeros(len(diff))
     degenerate = False
     for i, (d, se) in enumerate(zip(diff, est.std_error)):
-        if d <= diff_floor:
+        if d <= DIFF_FLOOR:
             z[i] = 0.0
-        elif se <= se_floor:
+        elif se <= SE_FLOOR:
             if det_tol > 0.0:
                 z[i] = 0.0 if d <= det_tol else np.inf
             else:
@@ -385,7 +389,7 @@ def cf_distance_test(
             z[i] = d / se
     max_z = float(z.max()) if len(z) else 0.0
     frac = float(np.mean(z > 2.0)) if len(z) else 0.0
-    if est.n_samples < n_min or degenerate:
+    if est.n_samples < N_MIN or degenerate:
         status = "inconclusive"
     else:
         status = "pass" if (max_z < 4.0 and frac < 0.10) else "fail"

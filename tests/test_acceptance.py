@@ -222,7 +222,7 @@ def test_criterion_08_log_moment_preservation():
             img = log_moment(smear_spectral(mu.triplet.M, b)).status
             ok = ok and src == "finite" and img == "finite"
     seg = callable_segment(
-        lambda r: 1.0 / (r * math.log(r) ** 2),
+        lambda r: 1.0 / (r * np.log(r) ** 2),
         math.e,
         math.inf,
         tail_mass_finite=True,

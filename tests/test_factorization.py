@@ -13,6 +13,7 @@ from idcalc import (
     default_grid,
     dirac,
     factor_rho,
+    gamma,
     gaussian,
     j_beta,
     poisson,
@@ -187,6 +188,21 @@ def test_cor5_atom_frozen_values(beta):
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
+@pytest.mark.parametrize("beta", BETAS)
+def test_smeared_interval_mass_on_a_mesh_matches_head_and_tail_form(beta):
+    # one call for the whole mesh, M((r1, r2]) + T(r2) - T(r1), against the
+    # per-interval Fubini form int_(r1,r2] (1 - (r1/s)^b) M(ds)
+    # + (r2^b - r1^b) int_(r2,inf) s^-b M(ds), on a smeared and an atomic ray
+    for G in (smear_spectral(gamma(1.0, 1.0).triplet.M, 2.0 * beta), atom_source()):
+        mesh = dyadic_mesh()
+        r1, r2 = np.array(mesh).T
+        got = smeared_interval_mass(G, beta, 0, r1, r2)
+        for (x1, x2), value in zip(mesh, got):
+            head = G.ray_integral(0, x1, x2, lambda s: 1.0 - (x1 / s) ** beta)
+            tail = G.ray_integral(0, x2, math.inf, lambda s: s**-beta)
+            assert value == pytest.approx(head + (x2**beta - x1**beta) * tail, abs=1e-12)
+
+
 @pytest.mark.parametrize("beta", (1.0, 2.0))
 def test_cor5_atom_passes_mesh(beta):
     rep = verify_corollary5(atom_source(), beta)
@@ -226,20 +242,17 @@ def test_cor5_kink_of_smeared_density_is_a_break_point(monkeypatch):
     # lo; the test intervals and the tails beyond them cross the bend, and
     # must cost about what the same density from 0 costs (neither 0.3 nor
     # 0.7 is an end of the mesh)
-    from idcalc import core, mappings, measure_from_spec, quadrature
+    from idcalc import measure_from_spec, quadrature
 
+    # integrand evaluations: panels of the one GK21 rule times its nodes
     evals = [0]
-    plain = quadrature.quad_real
+    plain = quadrature._panel_rules
 
-    def counting(f, *args, **kwargs):
-        def g(t):
-            evals[0] += 1
-            return f(t)
+    def counting(f, elem, a, b):
+        evals[0] += len(elem) * quadrature.GK21_NODES.size
+        return plain(f, elem, a, b)
 
-        return plain(g, *args, **kwargs)
-
-    for mod in (core, mappings, quadrature):
-        monkeypatch.setattr(mod, "quad_real", counting)
+    monkeypatch.setattr(quadrature, "_panel_rules", counting)
     cost = {}
     for lo in (0.3, 0.7, 0.0):
         dens = {"lo": lo, "hi": "inf", "kind": "exp", "coef": 0.6, "exponent": 0, "rate": 2}

@@ -105,6 +105,18 @@ def test_smear_density_closed_form_vs_direct(beta):
         assert smeared.interval_mass(0, a, b) == pytest.approx(direct, abs=1e-9)
 
 
+@pytest.mark.parametrize("beta", (1.0, 2.0))
+def test_smeared_triplet_of_singular_power_density_from_zero(beta):
+    # the smear of r^-2.5 on (0, 1) is ~ r^-2.5 at 0, so char_exponent's
+    # integrand ~ r^-0.5 there; it converges only after r = u^2
+    seg = power_segment(1.0, -2.5, 0.0, 1.0)
+    M = SpectralMeasure((RadialComponent(np.array([1.0]), densities=(seg,)),))
+    mu = IdMeasure.from_triplet(LevyTriplet(np.zeros(1), np.zeros((1, 1)), M))
+    y = np.array([0.5])
+    triplet_route = char_exponent(smear_triplet(mu.triplet, beta), y)
+    assert abs(triplet_route - complex(j_beta(mu, beta).exponent(y))) < 1e-10
+
+
 @pytest.mark.parametrize("mu", list(FAMILIES.values()), ids=list(FAMILIES))
 @pytest.mark.parametrize("beta", BETAS)
 def test_jbeta_triplet_matches_quadrature(mu, beta):
@@ -220,7 +232,7 @@ def test_imap_rejects_known_infinite_log_moment():
 
 def test_imap_gate_uses_triplet_when_unflagged():
     seg = callable_segment(
-        lambda r: 1.0 / (r * math.log(r) ** 2), math.e, math.inf,
+        lambda r: 1.0 / (r * np.log(r) ** 2), math.e, math.inf,
         tail_mass_finite=True, log_tail="divergent",
     )
     M = SpectralMeasure((RadialComponent(np.array([1.0]), densities=(seg,)),))
@@ -334,7 +346,7 @@ def test_log_moment_smeared_values_match_oracle():
 
 def test_log_moment_divergence_survives_smear():
     seg = callable_segment(
-        lambda r: 1.0 / (r * math.log(r) ** 2), math.e, math.inf, tail_mass_finite=True
+        lambda r: 1.0 / (r * np.log(r) ** 2), math.e, math.inf, tail_mass_finite=True
     )
     M = SpectralMeasure((RadialComponent(np.array([1.0]), densities=(seg,)),))
     assert log_moment(M).status == "inconclusive-divergent"

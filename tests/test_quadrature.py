@@ -12,13 +12,14 @@ def test_quad_real_polynomial():
 
 
 def test_quad_real_sqrt_endpoint_singularity():
-    # integrable endpoint singularity handled by the extrapolating rule
-    assert quad_real(lambda x: math.sqrt(x), 0.0, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    # integrable endpoint singularities: x**-0.5 converges after the
+    # substitution x = u**2
+    assert quad_real(lambda x: np.sqrt(x), 0.0, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert quad_real(lambda x: x**-0.5, 0.0, 1.0) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_quad_real_honors_breakpoints():
-    f = lambda x: 1.0 if x < 0.3 else 2.0
+    f = lambda x: np.where(x < 0.3, 1.0, 2.0)
     assert quad_real(f, 0.0, 1.0, points=[0.3]) == pytest.approx(1.7, abs=1e-12)
 
 
@@ -31,19 +32,19 @@ def test_quad_complex_unit_circle():
 
 def test_quad_real_raises_on_nonconvergence():
     with pytest.raises(QuadratureError) as exc:
-        quad_real(lambda x: math.sin(1.0 / x) if x > 0 else 0.0, 0.0, 1.0)
+        quad_real(lambda x: np.sin(1.0 / x), 0.0, 1.0)
     assert exc.value.achieved is not None
 
 
 def test_tail_quad_convergent():
-    val, ok = tail_quad(lambda r: math.exp(-r), 1.0)
+    val, ok = tail_quad(lambda r: np.exp(-r), 1.0)
     assert ok
     assert val == pytest.approx(math.exp(-1.0), rel=1e-9)
 
 
 def test_tail_quad_flags_slow_divergence():
     # integral of 1/(r log r) grows like log log R: never stabilizes
-    val, ok = tail_quad(lambda r: 1.0 / (r * math.log(r)), math.e)
+    val, ok = tail_quad(lambda r: 1.0 / (r * np.log(r)), math.e)
     assert not ok
 
 
@@ -56,3 +57,15 @@ def test_head_quad_convergent():
 def test_head_quad_flags_divergence_at_zero():
     val, ok = head_quad(lambda r: 1.0 / r, 1.0)
     assert not ok
+
+
+def test_quad_real_on_arrays_of_intervals_matches_one_call_each():
+    # intervals from 0 (x**-0.5 after x = u**2), across break points, and empty
+    f = lambda x: x**-0.5 + np.where(x < 0.3, 1.0, 2.0)
+    a = np.array([0.0, 0.1, 0.5, 0.9])
+    b = np.array([1.0, 0.6, 2.0, 0.4])
+    got = quad_real(f, a, b, points=[0.3, 1.0])
+    want = [quad_real(f, x, y, points=[0.3, 1.0]) if y > x else 0.0 for x, y in zip(a, b)]
+    assert got.shape == (4,)
+    assert got == pytest.approx(want, abs=1e-12)
+    assert got[0] == pytest.approx(2.0 + 0.3 + 1.4, abs=1e-10)
