@@ -11,6 +11,9 @@ Gaussian contribution from its exact normal law, jumps from a marked
 Poisson process mapped onto mesh cells.  This reproduces the law of the
 stepwise scheme exactly while keeping runtime flat in the step count.
 
+The jumps above the cutoff form one table of cells; a jump's cell there and
+its time's mesh cell are both guide-table lookups (Chen & Asau 1974).
+
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, chunk index)``, so results are reproducible.
 """
@@ -138,41 +141,74 @@ def cor1a_integral_spec(beta: float) -> KernelIntegralSpec:
 _TABLE_NODES = 4097
 
 
-class _JumpModel:
-    """Sampling representation of the jump part above the cutoff."""
+class _Guide:
+    """``self(q)`` is the ``j`` with ``x[j] <= q < x[j+1]`` (the last cell of
+    positive width for ``q >= x[-1]``), from ``2 (len(x) - 1)`` equal buckets
+    and a short forward walk (Chen & Asau 1974; Devroye 1986, §III.2.4)."""
 
-    def __init__(self, M: SpectralMeasure, eps: float, dim: int):
-        masses: list[float] = []
-        dirs: list[np.ndarray] = []
-        radii: list[float] = []  # fixed radius for atoms, nan for segments
-        tables: list[Optional[tuple[np.ndarray, np.ndarray]]] = []
+    def __init__(self, x: np.ndarray):
+        nb = 2 * (len(x) - 1)
+        self._x0, self._scale = x[0], nb / (x[-1] - x[0])
+        # bucket edges pulled slightly low, so that each bucket starts at or
+        # before the cell of every query in it and the walk only goes forward
+        edges = x[0] + np.arange(nb) / self._scale
+        edges -= 1e-12 * max(abs(x[0]), abs(x[-1]))
+        self._start = np.maximum(np.searchsorted(x, edges, "right") - 1, 0)
+        self._right = np.append(x[1:], np.inf)
+        self._top = int(np.searchsorted(x, x[-1], "left")) - 1
+
+    def __call__(self, q: np.ndarray) -> np.ndarray:
+        b = q - self._x0
+        b *= self._scale
+        j = np.clip(b, 0, len(self._start) - 1, out=b).astype(np.intp)
+        del b
+        j = self._start[j]
+        walk = np.flatnonzero(self._right[j] <= q)
+        while walk.size:
+            j[walk] += 1
+            walk = walk[self._right[j[walk]] <= q[walk]]
+        np.minimum(j, self._top, out=j)
+        return j
+
+
+class _JumpModel:
+    """The jump part above the cutoff as one table of cells: a cell of zero
+    width per atom, the inverse-CDF cells of each density segment.
+
+    Cell ``j`` spans ``[cum[j], cum[j+1])``, component ``c``'s nodes sitting
+    at ``offset_c + mass_c * cdf_c``, with left radius ``r0``, ``slope =
+    width / mass`` (0 for no mass) and a ray direction.  A jump is one
+    uniform ``q`` on the total mass, its cell ``j`` by guide-table lookup
+    and ``(r0[j] + slope[j] (q - cum[j])) dirs[j]``: the mixture of the
+    components' piecewise-linear inverse CDFs.
+    """
+
+    def __init__(self, M: SpectralMeasure, eps: float):
+        masses, cum, radii, dirs = [], [np.zeros(1)], [], []
         for ray in M.rays:
-            for at in ray.atoms:
-                if at.r > eps:
-                    masses.append(at.w)
-                    dirs.append(ray.direction)
-                    radii.append(at.r)
-                    tables.append(None)
+            comps = [(at.w, np.array([at.r, at.r]), np.array([0.0, 1.0]))
+                     for at in ray.atoms if at.r > eps]
             for seg in ray.densities:
                 lo = max(seg.lo, eps)
-                if lo >= seg.hi:
-                    continue
-                mass = _segment_mass(seg, np.array([lo]), np.array([math.inf]))[0]
-                if mass <= 0.0:
-                    continue
+                if lo < seg.hi:
+                    mass = _segment_mass(seg, np.array([lo]), np.array([math.inf]))[0]
+                    if mass > 0.0:
+                        comps.append((mass, *self._build_table(seg, lo, mass)))
+            for mass, r, cdf in comps:
+                cum.append(sum(masses) + mass * cdf[1:])
                 masses.append(mass)
-                dirs.append(ray.direction)
-                radii.append(math.nan)
-                tables.append(self._build_table(seg, lo, mass))
+                radii.append(r)
+                dirs.append(np.repeat(ray.direction[None, :], len(r) - 1, axis=0))
         self.rate = float(sum(masses))
-        self.dim = dim
-        if masses:
-            self._cum = np.cumsum(masses)
+        if self.rate > 0.0:
+            self._cum = np.concatenate(cum)
+            cell_mass = np.diff(self._cum)
+            width = np.concatenate([np.diff(r) for r in radii])
+            self._slope = np.divide(width, cell_mass, out=np.zeros_like(width),
+                                    where=cell_mass > 0.0)
+            self._r0 = np.concatenate([r[:-1] for r in radii])
             self._dirs = np.vstack(dirs)
-            self._radii = np.array(radii)
-            self._tables = tables
-        else:
-            self._cum = np.zeros(0)
+            self._cells = _Guide(self._cum)
 
     @staticmethod
     def _build_table(seg, lo: float, mass: float):
@@ -196,25 +232,16 @@ class _JumpModel:
         return r, cdf / cdf[-1]
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` jump vectors from the normalized restriction."""
-        if count == 0 or self.rate == 0.0:
-            return np.zeros((0, self.dim))
-        u = rng.random(count) * self._cum[-1]
-        comp = np.searchsorted(self._cum, u, side="right")
-        comp = np.minimum(comp, len(self._cum) - 1)
-        radii = self._radii[comp]
-        needs = np.isnan(radii)
-        if needs.any():
-            v = rng.random(int(needs.sum()))
-            out_r = np.empty(int(needs.sum()))
-            idx = np.flatnonzero(needs)
-            for c in np.unique(comp[idx]):
-                sel = comp[idx] == c
-                nodes, cdf = self._tables[c]
-                out_r[sel] = np.interp(v[sel], cdf, nodes)
-            radii = radii.copy()
-            radii[idx] = out_r
-        return radii[:, None] * self._dirs[comp]
+        """Draw ``count`` jump vectors; the rate must be positive."""
+        q = rng.random(count)
+        q *= self._cum[-1]
+        j = self._cells(q)
+        q -= self._cum[j]
+        q *= self._slope[j]
+        q += self._r0[j]
+        vecs = self._dirs[j]
+        vecs *= q[:, None]
+        return vecs
 
 
 def _psd_factor(S: np.ndarray) -> np.ndarray:
@@ -236,23 +263,24 @@ def _integral_chunk(
     det: np.ndarray,
     factor: np.ndarray,
     jumps: _JumpModel,
+    cells: Optional[_Guide],
     tau: np.ndarray,
     f_left: np.ndarray,
 ) -> np.ndarray:
     rng = _stream(seed, chunk_index)
-    d = det.size
-    x = rng.standard_normal((m, d)) @ factor.T
+    x = rng.standard_normal((m, det.size)) @ factor.T
     x += det
-    lam = jumps.rate * tau[-1]
-    if lam > 0:
-        counts = rng.poisson(lam, m)
+    if cells is not None:
+        counts = rng.poisson(jumps.rate * tau[-1], m)
         total = int(counts.sum())
         if total:
-            u = rng.random(total) * tau[-1]
-            k = np.searchsorted(tau, u, side="left") - 1
-            np.clip(k, 0, len(f_left) - 1, out=k)
-            vecs = jumps.sample(rng, total) * f_left[k][:, None]
-            np.add.at(x, np.repeat(np.arange(m), counts), vecs)
+            weight = f_left[cells(rng.random(total) * tau[-1])]
+            vecs = jumps.sample(rng, total)
+            vecs *= weight[:, None]
+            del weight
+            owner = np.repeat(np.arange(m, dtype=np.int32), counts)
+            for i in range(x.shape[1]):
+                x[:, i] += np.bincount(owner, weights=vecs[:, i], minlength=m)
     return x
 
 
@@ -290,14 +318,16 @@ def sample_integral(
     det = float(f_left @ dtau) * (triplet.a - M.mean_between(eps))
     cov = np.asarray(triplet.S, dtype=float) + M.second_moment_below(eps)
     factor = _psd_factor(float((f_left**2) @ dtau) * cov)
-    jumps = _JumpModel(M, eps, triplet.dim)
+    jumps = _JumpModel(M, eps)
+    # the mesh cell of a jump time u: tau[k] <= u < tau[k+1]
+    cells = _Guide(tau) if jumps.rate * tau[-1] > 0 else None
 
     chunks = [(_CHUNK, i) for i in range(n // _CHUNK)]
     if n % _CHUNK:
         chunks.append((n % _CHUNK, n // _CHUNK))
 
     return np.vstack([
-        _integral_chunk(m, seed, idx, det, factor, jumps, tau, f_left) for m, idx in chunks
+        _integral_chunk(m, seed, idx, det, factor, jumps, cells, tau, f_left) for m, idx in chunks
     ])
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idcalc import (
     KernelIntegralSpec,
@@ -17,8 +19,18 @@ from idcalc import (
     imap_integral_spec,
     j_beta,
     jbeta_integral_spec,
+    measure_from_spec,
     poisson,
     sample_integral,
+    sigma_clock,
+)
+from idcalc.core import _segment_mass
+from idcalc.simulate import (
+    _CHUNK,
+    _Guide,
+    _JumpModel,
+    _psd_factor,
+    _stream,
 )
 
 CFG = PathConfig()  # step 1e-3, cutoff 1e-3, correction on
@@ -244,3 +256,186 @@ def test_cor1a_sampler_matches_twice_mapped():
     est = ecf(samples, np.array([[0.5], [1.0], [2.0]]))
     res = cf_distance_test(est, j_beta(j_beta(mu, 1.0), 2.0).exponent)
     assert res.status == "pass", res
+
+
+# ---------------------------------------------------------------------------
+# the jump table and its guide-table lookups
+# ---------------------------------------------------------------------------
+
+EPS = CFG.small_jump_cutoff
+
+# atoms and densities on two rays, like the benchmark's plane2d spec
+PLANE2D = measure_from_spec({
+    "dim": 2, "shift": [0.2, -0.3], "cov": [[0.5, 0.1], [0.1, 0.4]],
+    "spectral": {"rays": [
+        {"direction": [math.cos(0.7), math.sin(0.7)],
+         "atoms": [{"r": 0.5, "w": 0.6}, {"r": 1.5, "w": 0.4}],
+         "densities": [{"lo": 0.1, "hi": 1.5, "kind": "power",
+                        "coef": 0.6, "exponent": -0.5}]},
+        {"direction": [math.cos(2.9), math.sin(2.9)],
+         "atoms": [{"r": 2.0, "w": 0.5}]},
+    ]},
+})
+EXP_TAIL = measure_from_spec({
+    "dim": 1, "shift": [-0.25], "cov": [[0.3]],
+    "spectral": {"rays": [
+        {"direction": [1.0],
+         "atoms": [{"r": 0.7, "w": 0.6}],
+         "densities": [{"lo": 0.0, "hi": "inf", "kind": "exp", "coef": 0.6,
+                        "exponent": -0.5, "rate": 1.5}]},
+        {"direction": [-1.0], "atoms": [{"r": 1.6, "w": 0.5}]},
+    ]},
+})
+TABLE_MEASURES = {"gamma": gamma(1.0, 1.0), "poisson": poisson(1.0, 2.0),
+                  "plane2d": PLANE2D, "exp-tail": EXP_TAIL}
+
+
+def _components(M, eps):
+    """``(mass, direction, radius nodes, normalized cdf)`` of each atom and
+    density segment above ``eps``, each ray's atoms before its densities:
+    the mixture the sampler draws from, one component at a time."""
+    out = []
+    for ray in M.rays:
+        for at in ray.atoms:
+            if at.r > eps:
+                out.append((at.w, ray.direction, np.array([at.r, at.r]), np.array([0.0, 1.0])))
+        for seg in ray.densities:
+            lo = max(seg.lo, eps)
+            if lo < seg.hi:
+                mass = _segment_mass(seg, np.array([lo]), np.array([math.inf]))[0]
+                out.append((mass, ray.direction, *_JumpModel._build_table(seg, lo, mass)))
+    return out
+
+
+@st.composite
+def _sorted_meshes(draw):
+    kind = draw(st.sampled_from(["uniform", "clock", "gaps"]))
+    if kind != "gaps":
+        # the time meshes: the uniform one in s, and tau = sigma_clock(beta, s)
+        s = np.linspace(0.0, draw(st.floats(1.0, 20.0)), draw(st.integers(2, 3000)))
+        if kind == "uniform":
+            return s
+        return sigma_clock(draw(st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0])), s)
+    # zero gaps give ties and flat runs; the others span six decades
+    gaps = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-4, 1e2)),
+                         min_size=1, max_size=80).filter(lambda g: max(g) > 0.0))
+    return draw(st.floats(-100.0, 100.0)) + np.cumsum([0.0] + gaps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sorted_meshes())
+def test_guide_matches_binary_search(x):
+    # nodes, just below them, midway between them, x[0] and just below x[-1]
+    inner = x[x < x[-1]]
+    q = np.concatenate([inner, np.nextafter(inner[inner > x[0]], -np.inf),
+                        0.5 * (inner + np.minimum(x[1:len(inner) + 1], x[-1])),
+                        [x[0], np.nextafter(x[-1], -np.inf)]])
+    assert np.array_equal(_Guide(x)(q), np.searchsorted(x, q, "right") - 1)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_MEASURES))
+def test_jump_table_is_the_component_cdfs_end_to_end(name):
+    mu = TABLE_MEASURES[name]
+    model = _JumpModel(mu.triplet.M, EPS)
+    offset, start = 0.0, 0
+    for mass, direction, r, cdf in _components(mu.triplet.M, EPS):
+        n = len(r) - 1
+        got = model._cum[start:start + n + 1]
+        assert np.max(np.abs(got - (offset + mass * cdf))) <= 1e-15 * model.rate
+        assert np.array_equal(model._r0[start:start + n], r[:-1])
+        assert np.all(model._dirs[start:start + n] == direction)
+        offset += mass
+        start += n
+    assert start == len(model._r0)
+    assert model.rate == offset
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", ["gamma", "exp-tail"])
+def test_jump_radii_are_finite_and_inside_the_table(name):
+    M = TABLE_MEASURES[name].triplet.M
+    model = _JumpModel(M, EPS)
+    cell_mass = np.diff(model._cum)
+    if name == "gamma":
+        # beyond r ~ 29 the density underflows in the normalized cdf
+        assert np.count_nonzero(cell_mass == 0.0) > 0
+    assert np.all(np.isfinite(model._slope))
+    assert np.all(model._slope[cell_mass == 0.0] == 0.0)
+    hi = max(r[-1] for _, _, r, _ in _components(M, EPS))
+    radii = np.abs(model.sample(_stream(3, 0), 200_000)[:, 0])
+    assert np.all(np.isfinite(radii))
+    assert radii.min() >= EPS and radii.max() <= hi
+    # a uniform that rounds up to the total mass still finds a cell of mass
+    top = model._cum[-1]
+    j = model._cells(np.array([top, np.nextafter(top, 0.0)]))
+    assert np.all(cell_mass[j] > 0.0)
+
+
+def _reference_sample(triplet, spec, cfg, n, seed):
+    """The stepwise scheme on the same Philox streams, drawn through binary
+    searches, ``np.interp`` per component and ``np.add.at``."""
+    s = np.linspace(0.0, spec.s_max, max(1, int(round(spec.s_max / cfg.step))) + 1)
+    tau = spec.clock(s) if spec.clock is not None else s
+    dtau = np.clip(np.diff(tau), 0.0, None)
+    f_left = spec.kernel(s[:-1])
+    M, eps = triplet.M, cfg.small_jump_cutoff
+    det = float(f_left @ dtau) * (triplet.a - M.mean_between(eps))
+    factor = _psd_factor(float((f_left**2) @ dtau) * (triplet.S + M.second_moment_below(eps)))
+    comps = _components(M, eps)
+    offsets = np.concatenate([[0.0], np.cumsum([c[0] for c in comps])])
+    rate = float(sum(c[0] for c in comps))
+    out = []
+    for idx in range(-(-n // _CHUNK)):
+        m = min(_CHUNK, n - idx * _CHUNK)
+        rng = _stream(seed, idx)
+        x = rng.standard_normal((m, triplet.dim)) @ factor.T + det
+        counts = rng.poisson(rate * tau[-1], m)
+        total = int(counts.sum())
+        u = rng.random(total) * tau[-1]
+        k = np.clip(np.searchsorted(tau, u, "left") - 1, 0, len(f_left) - 1)
+        q = rng.random(total) * offsets[-1]
+        c = np.minimum(np.searchsorted(offsets, q, "right") - 1, len(comps) - 1)
+        vecs = np.empty((total, triplet.dim))
+        for i, (mass, direction, r, cdf) in enumerate(comps):
+            sel = c == i
+            vecs[sel] = np.interp(q[sel], offsets[i] + mass * cdf, r)[:, None] * direction
+        np.add.at(x, np.repeat(np.arange(m), counts), vecs * f_left[k][:, None])
+        out.append(x)
+    return np.vstack(out)
+
+
+@pytest.mark.parametrize("name,spec,n", [
+    ("gamma", clocked_integral_spec(1.0, 20.0), _CHUNK + 300),
+    ("exp-tail", imap_integral_spec(20.0), 2000),
+    ("plane2d", jbeta_integral_spec(2.0), 5000),
+    ("poisson", cor1a_integral_spec(0.5), 5000),
+])
+def test_sampler_matches_reference_draws(name, spec, n):
+    triplet = TABLE_MEASURES[name].triplet
+    got = sample_integral(triplet, spec, CFG, n, seed=31)
+    want = _reference_sample(triplet, spec, CFG, n, seed=31)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(got))
+
+
+# six draws at seed 2024, pinned before the sampler became one table:
+# neither family draws from a density segment or chooses between atoms
+PINNED = {
+    ('gaussian', 'jbeta'): [0.8123309507889227, 0.5954864511897293, 0.2699236800496034, -0.5445120791337754, 0.16696133665604385, 0.20402007459175006],
+    ('gaussian', 'imap'): [0.9961427946164634, 0.7302313632987651, 0.33100121165719176, -0.6677226611690202, 0.20474085386987528, 0.25018513336751297],
+    ('gaussian', 'clocked'): [0.5751234064769777, 0.42159934443777414, 0.19110367050296886, -0.3855099224215709, 0.11820720679707829, 0.1444444781710445],
+    ('gaussian', 'cor1a'): [0.5757199725805854, 0.4220366625426579, 0.19130189921495167, -0.38590980555922644, 0.11832982119945369, 0.14459430806591525],
+    ('poisson', 'jbeta'): [0.858, 0.0, 0.9740000000000001, 0.0, 0.0, 1.392],
+    ('poisson', 'imap'): [1.9868673796800862, 0.9148626600909765, 1.3096139086884169, 0.58640189347653, 5.177998720280768, 3.2643862157709442],
+    ('poisson', 'clocked'): [0.9653878997182761, 0.420285002456556, 0.6134533386410537, 0.256020311527154, 2.8110298130129383, 1.8886016599943236],
+    ('poisson', 'cor1a'): [0.6900381684949748, 0.0, 2.3448886118061303, 0.0, 0.0, 1.7128949733771446],
+}
+
+
+@pytest.mark.parametrize("family,kernel", sorted(PINNED))
+def test_gaussian_and_poisson_draws_are_pinned(family, kernel):
+    mu = {"gaussian": gaussian(1.0), "poisson": poisson(1.0, 2.0)}[family]
+    spec = {"jbeta": jbeta_integral_spec(1.0), "imap": imap_integral_spec(20.0),
+            "clocked": clocked_integral_spec(1.0, 20.0),
+            "cor1a": cor1a_integral_spec(1.0)}[kernel]
+    x = sample_integral(mu.triplet, spec, CFG, 6, seed=2024)[:, 0]
+    assert np.array_equal(x, PINNED[family, kernel])
