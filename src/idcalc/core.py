@@ -512,16 +512,20 @@ def _atom_terms(r, c) -> np.ndarray:
     a ray, with ``r`` and ``c`` broadcast.  ``cos x - 1 = -2 sin^2(x/2)``,
     and ``sin x - x`` from its Taylor series where ``|x| < 1``, keep small
     ``x = r c`` free of cancellation."""
-    x = r * c
-    near = np.abs(x) < 1.0
-    s = np.where(near, x, 0.0)  # keeps the series finite where it is not used
-    series = 1.0
-    for k in range(19, 3, -2):  # Horner over the terms s^3 .. s^19
-        series = 1.0 - s * s / (k * (k - 1)) * series
-    sin_x = np.sin(x)
-    compensated = np.where(near, -(s**3) / 6.0 * series, sin_x - x)
+    x = np.asarray(r * c, dtype=float)
+    out = np.empty(x.shape, dtype=complex)
     h = np.sin(0.5 * x)
-    return -2.0 * h * h + 1j * np.where(r <= UNIT_BALL_RADIUS, compensated, sin_x)
+    out.real = -2.0 * h * h
+    out.imag = np.sin(x)
+    near = (np.abs(x) < 1.0) & (r <= UNIT_BALL_RADIUS)
+    far = (r <= UNIT_BALL_RADIUS) & ~near
+    out.imag[far] -= x[far]
+    s = x[near]
+    s2, series = s * s, 1.0
+    for k in range(19, 3, -2):  # Horner over the terms s^3 .. s^19
+        series = 1.0 - s2 / (k * (k - 1)) * series
+    out.imag[near] = -(s**3) / 6.0 * series
+    return out
 
 
 def _as_batch(y, dim: int) -> np.ndarray:

@@ -12,7 +12,9 @@ Poisson process mapped onto mesh cells.  This reproduces the law of the
 stepwise scheme exactly while keeping runtime flat in the step count.
 
 The jumps above the cutoff form one table of cells; a jump's cell there and
-its time's mesh cell are both guide-table lookups (Chen & Asau 1974).
+its time's mesh cell are both guide-table lookups (Chen & Asau 1974).  A
+chunk draws its uniforms, then works through cache-sized blocks of whole
+samples, so that the draws do not depend on the block size.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, chunk index)``, so results are reproducible.
@@ -47,6 +49,8 @@ __all__ = [
 ]
 
 _CHUNK = 8192
+# jumps per pass of the sampler: its arrays of a pass then fit in the L2 cache
+_BLOCK = 1 << 16
 # kernel tail of the exponential integrand must contribute < 1e-4
 _TAIL_BUDGET = 1e-4
 
@@ -144,7 +148,8 @@ _TABLE_NODES = 4097
 class _Guide:
     """``self(q)`` is the ``j`` with ``x[j] <= q < x[j+1]`` (the last cell of
     positive width for ``q >= x[-1]``), from ``2 (len(x) - 1)`` equal buckets
-    and a short forward walk (Chen & Asau 1974; Devroye 1986, §III.2.4)."""
+    and a forward walk of at most two cells (Chen & Asau 1974; Devroye 1986,
+    §III.2.4)."""
 
     def __init__(self, x: np.ndarray):
         nb = 2 * (len(x) - 1)
@@ -164,9 +169,11 @@ class _Guide:
         del b
         j = self._start[j]
         walk = np.flatnonzero(self._right[j] <= q)
-        while walk.size:
+        for _ in range(2):
             j[walk] += 1
             walk = walk[self._right[j[walk]] <= q[walk]]
+        # a binary search for the rare longer walks, each step a numpy pass
+        j[walk] = np.searchsorted(self._right, q[walk], "right")
         np.minimum(j, self._top, out=j)
         return j
 
@@ -177,10 +184,11 @@ class _JumpModel:
 
     Cell ``j`` spans ``[cum[j], cum[j+1])``, component ``c``'s nodes sitting
     at ``offset_c + mass_c * cdf_c``, with left radius ``r0``, ``slope =
-    width / mass`` (0 for no mass) and a ray direction.  A jump is one
-    uniform ``q`` on the total mass, its cell ``j`` by guide-table lookup
-    and ``(r0[j] + slope[j] (q - cum[j])) dirs[j]``: the mixture of the
-    components' piecewise-linear inverse CDFs.
+    width / mass`` (0 for no mass) and a ray direction, kept as one row of
+    ``dirs`` per coordinate.  A jump is one uniform ``q`` on the total mass,
+    its cell ``j`` by guide-table lookup and ``(r0[j] + slope[j] (q -
+    cum[j])) dirs[:, j]``: the mixture of the components' piecewise-linear
+    inverse CDFs.
     """
 
     def __init__(self, M: SpectralMeasure, eps: float):
@@ -207,7 +215,7 @@ class _JumpModel:
             self._slope = np.divide(width, cell_mass, out=np.zeros_like(width),
                                     where=cell_mass > 0.0)
             self._r0 = np.concatenate([r[:-1] for r in radii])
-            self._dirs = np.vstack(dirs)
+            self._dirs = np.vstack(dirs).T.copy()
             self._cells = _Guide(self._cum)
 
     @staticmethod
@@ -231,17 +239,15 @@ class _JumpModel:
             raise ValidationError("segment has no mass to sample")
         return r, cdf / cdf[-1]
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` jump vectors; the rate must be positive."""
-        q = rng.random(count)
+    def sample(self, q: np.ndarray) -> list:
+        """The jump vectors of the uniforms ``q`` on ``[0, 1)``, one array per
+        coordinate; the rate must be positive, and ``q`` becomes the radii."""
         q *= self._cum[-1]
         j = self._cells(q)
         q -= self._cum[j]
         q *= self._slope[j]
         q += self._r0[j]
-        vecs = self._dirs[j]
-        vecs *= q[:, None]
-        return vecs
+        return [col[j] * q for col in self._dirs]
 
 
 def _psd_factor(S: np.ndarray) -> np.ndarray:
@@ -270,17 +276,27 @@ def _integral_chunk(
     rng = _stream(seed, chunk_index)
     x = rng.standard_normal((m, det.size)) @ factor.T
     x += det
-    if cells is not None:
-        counts = rng.poisson(jumps.rate * tau[-1], m)
-        total = int(counts.sum())
-        if total:
-            weight = f_left[cells(rng.random(total) * tau[-1])]
-            vecs = jumps.sample(rng, total)
-            vecs *= weight[:, None]
-            del weight
-            owner = np.repeat(np.arange(m, dtype=np.int32), counts)
-            for i in range(x.shape[1]):
-                x[:, i] += np.bincount(owner, weights=vecs[:, i], minlength=m)
+    if cells is None:
+        return x
+    counts = rng.poisson(jumps.rate * tau[-1], m)
+    edges = np.zeros(m + 1, dtype=np.intp)  # sample i owns jumps edges[i]:edges[i+1]
+    np.cumsum(counts, out=edges[1:])
+    u = rng.random(edges[-1])
+    u *= tau[-1]
+    q = rng.random(edges[-1])
+    # blocks of whole samples with about _BLOCK jumps each, so that each
+    # sample's jumps add up in the same order at any block size
+    lo = 0
+    while lo < m:
+        hi = max(int(np.searchsorted(edges, edges[lo] + _BLOCK, "right")) - 1, lo + 1)
+        a, b = edges[lo], edges[hi]
+        if b > a:
+            weight = f_left[cells(u[a:b])]
+            owner = np.repeat(np.arange(hi - lo, dtype=np.int32), counts[lo:hi])
+            for i, v in enumerate(jumps.sample(q[a:b])):
+                v *= weight
+                x[lo:hi, i] += np.bincount(owner, weights=v, minlength=hi - lo)
+        lo = hi
     return x
 
 
@@ -347,7 +363,10 @@ class EcfEstimate:
 
 
 def ecf(samples: np.ndarray, grid: np.ndarray) -> EcfEstimate:
-    """Average of ``exp(i <y, X>)`` per grid point with its standard error."""
+    """Average of ``exp(i <y, X>)`` per grid point with its standard error.
+
+    Cosines and sines are taken once per row up to sign; the value at ``-y``
+    is the exact conjugate of the one at ``y``, as for any real sample."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[1] != samples.shape[1]:
@@ -357,12 +376,16 @@ def ecf(samples: np.ndarray, grid: np.ndarray) -> EcfEstimate:
     n = samples.shape[0]
     if n < 2:
         raise ValidationError("need at least two samples for an ecf estimate")
-    phases = samples @ grid.T
-    vals = np.exp(1j * phases)
-    mean = vals.mean(axis=0)
-    var = vals.real.var(axis=0, ddof=1) + vals.imag.var(axis=0, ddof=1)
+    lead = grid[np.arange(len(grid)), np.argmax(grid != 0.0, axis=1)]
+    sign = np.where(lead < 0.0, -1.0, 1.0)
+    rows, back = np.unique(grid * sign[:, None], axis=0, return_inverse=True)
+    phases = samples @ rows.T
+    cos, sin = np.cos(phases), np.sin(phases)
+    # two passes: 1 - |mean|^2 is not 0 on constant samples
+    var = cos.var(axis=0, ddof=1) + sin.var(axis=0, ddof=1)
+    values = cos.mean(axis=0)[back] + 1j * (sign * sin.mean(axis=0)[back])
     return EcfEstimate(
-        grid=grid, values=mean, n_samples=n, std_error=np.sqrt(var / n)
+        grid=grid, values=values, n_samples=n, std_error=np.sqrt(var[back] / n)
     )
 
 

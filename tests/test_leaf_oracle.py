@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 from idcalc import LevyTriplet, QuadratureError, char_exponent
-from idcalc.core import RadialAtom, RadialComponent, SpectralMeasure, exp_segment, power_segment
+from idcalc.core import (
+    RadialAtom,
+    RadialComponent,
+    SpectralMeasure,
+    _atom_terms,
+    exp_segment,
+    power_segment,
+)
 
 mp = pytest.importorskip("mpmath")
 
@@ -104,3 +111,29 @@ def test_atom_terms_keep_their_digits_at_small_frequencies(r):
             want = complex(mp.expj(x) - 1 - (1j * x if r <= 1 else 0))
         for part in (np.real, np.imag):
             assert abs(part(got) - part(want)) <= 1e-14 * abs(part(want)), (c, got, want)
+
+
+ATOM_X = (1e-8, 0.3, 0.999, 1.0, 1.001, 30.0)
+ATOM_R = (0.5, 1.0, 2.0)
+
+
+def atom_term(r, x):
+    """exp(ix) - 1 - ix 1{r <= 1} at the double x, in 40 digits."""
+    with mp.workdps(40):
+        x = mp.mpf(float(x))
+        return complex(mp.expj(x) - 1 - (1j * x if r <= 1 else 0))
+
+
+def test_atom_terms_against_mpmath_scalar_and_broadcast():
+    # both sides of the series cut |x| = 1 and of the compensator's r = 1
+    c = np.array([s * v for v in ATOM_X for s in (1.0, -1.0)])
+    rs = np.array(ATOM_R)
+    broadcast = _atom_terms(rs[:, None], c[None, :] / rs[:, None])
+    for i, r in enumerate(rs):
+        cr = c / r
+        for got in (_atom_terms(r, cr), broadcast[i]):
+            assert got.shape == c.shape
+            for g, x in zip(got, r * cr):
+                want = atom_term(r, x)
+                for part in (np.real, np.imag):
+                    assert abs(part(g) - part(want)) <= 2e-15 * abs(part(want)), (r, x, g, want)

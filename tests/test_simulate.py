@@ -12,6 +12,7 @@ from idcalc import (
     cf_distance_test,
     clocked_integral_spec,
     cor1a_integral_spec,
+    default_grid,
     dirac,
     ecf,
     gamma,
@@ -24,9 +25,11 @@ from idcalc import (
     sample_integral,
     sigma_clock,
 )
+from idcalc import simulate
 from idcalc.core import _segment_mass
 from idcalc.simulate import (
     _CHUNK,
+    SE_FLOOR,
     _Guide,
     _JumpModel,
     _psd_factor,
@@ -190,6 +193,46 @@ def test_ecf_needs_two_samples():
         ecf(np.zeros((1, 1)), np.array([[1.0]]))
 
 
+def _ecf_direct(x, grid):
+    """The ecf from ``exp(i X Y^T)`` on every grid row, two-pass variance."""
+    vals = np.exp(1j * x @ grid.T)
+    var = vals.real.var(axis=0, ddof=1) + vals.imag.var(axis=0, ddof=1)
+    return vals.mean(axis=0), np.sqrt(var / len(x))
+
+
+ECF_GRIDS = {
+    "zero-row": np.array([[0.0], [-1.5], [0.5], [1.5], [-0.0]]),
+    "duplicates": np.array([[2.0], [-2.0], [2.0], [0.7], [-2.0]]),
+    "no-pairs": np.array([[0.3], [1.0], [4.0]]),
+    "default2d": default_grid(2),
+    "plane-pairs": np.array([[0.0, 1.0], [0.0, -1.0], [-0.5, 2.0], [0.5, -2.0], [0.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ECF_GRIDS))
+def test_ecf_matches_the_direct_mean_and_is_conjugate_at_minus_y(name):
+    grid = ECF_GRIDS[name]
+    rng = np.random.Generator(np.random.Philox(key=41))
+    x = rng.standard_normal((3000, grid.shape[1])) + rng.exponential(size=(3000, grid.shape[1]))
+    est = ecf(x, grid)
+    values, se = _ecf_direct(x, grid)
+    assert np.max(np.abs(est.values - values)) <= 1e-15
+    assert np.all(np.abs(est.std_error - se) <= 1e-15 * se)
+    for i, j in zip(*np.nonzero(np.all(grid[:, None, :] == -grid[None, :, :], axis=2))):
+        assert est.values[i] == np.conj(est.values[j])
+        assert est.std_error[i] == est.std_error[j]
+
+
+@pytest.mark.parametrize("value", [0.25, 1.7, -3.1])
+def test_ecf_of_constant_samples_stays_degenerate(value):
+    # a one-pass 1 - |mean|^2 would read about 2e-16 here, se about 6e-11
+    grid = default_grid(1)
+    est = ecf(np.full((50_000, 1), value), grid)
+    assert np.all(est.std_error <= SE_FLOOR)
+    res = cf_distance_test(est, lambda y: 1.01j * value * float(y[0]))
+    assert res.status == "inconclusive"
+
+
 # ---------------------------------------------------------------------------
 # distance test
 # ---------------------------------------------------------------------------
@@ -343,7 +386,7 @@ def test_jump_table_is_the_component_cdfs_end_to_end(name):
         got = model._cum[start:start + n + 1]
         assert np.max(np.abs(got - (offset + mass * cdf))) <= 1e-15 * model.rate
         assert np.array_equal(model._r0[start:start + n], r[:-1])
-        assert np.all(model._dirs[start:start + n] == direction)
+        assert np.all(model._dirs[:, start:start + n].T == direction)
         offset += mass
         start += n
     assert start == len(model._r0)
@@ -362,7 +405,7 @@ def test_jump_radii_are_finite_and_inside_the_table(name):
     assert np.all(np.isfinite(model._slope))
     assert np.all(model._slope[cell_mass == 0.0] == 0.0)
     hi = max(r[-1] for _, _, r, _ in _components(M, EPS))
-    radii = np.abs(model.sample(_stream(3, 0), 200_000)[:, 0])
+    radii = np.abs(model.sample(_stream(3, 0).random(200_000))[0])
     assert np.all(np.isfinite(radii))
     assert radii.min() >= EPS and radii.max() <= hi
     # a uniform that rounds up to the total mass still finds a cell of mass
@@ -415,6 +458,20 @@ def test_sampler_matches_reference_draws(name, spec, n):
     got = sample_integral(triplet, spec, CFG, n, seed=31)
     want = _reference_sample(triplet, spec, CFG, n, seed=31)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(got))
+
+
+@pytest.mark.parametrize("name,spec,n", [
+    ("gamma", clocked_integral_spec(1.0, 20.0), _CHUNK + 300),
+    ("plane2d", jbeta_integral_spec(2.0), 5000),
+    ("exp-tail", imap_integral_spec(20.0), 2000),
+    ("poisson", cor1a_integral_spec(0.5), 5000),
+])
+def test_draws_do_not_depend_on_the_block_size(name, spec, n, monkeypatch):
+    triplet = TABLE_MEASURES[name].triplet
+    want = sample_integral(triplet, spec, CFG, n, seed=31)
+    for block in (1, 4097, 1 << 22):
+        monkeypatch.setattr(simulate, "_BLOCK", block)
+        assert np.array_equal(sample_integral(triplet, spec, CFG, n, seed=31), want), block
 
 
 # six draws at seed 2024, pinned before the sampler became one table:
