@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import QuadratureError, ValidationError
-from .quadrature import from_origin, head_quad, origin_power, quad_complex, quad_real, tail_quad
+from .quadrature import head_quad, power_at_origin, quad_cut, tail_quad
 
 UNIT_BALL_RADIUS = 1.0
 
@@ -107,8 +107,8 @@ class DensitySegment:
     instead:
 
     * ``small_r_power`` -- p such that g(r) ~ C r^p as r -> 0 (only
-      meaningful when lo == 0; ``char_exponent`` substitutes
-      ``r = u**m`` at the origin when p < -2),
+      meaningful when lo == 0; radial integrals from the origin read the
+      density off at two small radii when it is absent),
     * ``tail_mass_finite`` -- whether the mass on (1, hi) is finite,
     * ``log_tail`` -- "finite"/"divergent" for the integral of
       log(r) g(r) over the tail beyond radius 1.
@@ -215,28 +215,40 @@ def scale_segment(seg: DensitySegment, c: float) -> DensitySegment:
     return replace(seg, fn=lambda r, g=seg.fn, c=c: c * g(r))
 
 
-def _segment_mass(seg: DensitySegment, a: np.ndarray, b: np.ndarray, weight=None):
-    """Integrals ``(n,)`` of ``weight(r) * g(r)`` over the intervals
-    ``(a_i, b_i)`` clipped to the support, all in one quadrature call.
-
-    ``weight=None`` means plain mass.  Unbounded intervals are staged from
-    past their lower end and the last kink.  A clipped lower end of 0 must
-    leave the weighted integrand integrable; callers are expected to
-    respect the segment's validity.
+def _segment_integral(seg: DensitySegment, a, b, weight=None, where=lambda i: "", start=0.0):
+    """Integrals ``(n,)``, complex, of ``weight(rows, r) g(r)`` (``g`` for
+    ``None``) over ``(a_i, b_i)`` clipped to the support, each added to
+    ``start``: every integral over a density segment is one call of
+    :func:`idcalc.quadrature.quad_cut`, cut at radius 1 and the kinks.  A
+    piece from 0 takes the power of its integrand from ``small_r_power``
+    plus the weight's power, read off the weight alone; only a segment
+    without the hint has its density read off.  A row that does not
+    converge raises :class:`QuadratureError`, described by ``where(i)``.
     """
     a, b = np.maximum(a, seg.lo), np.minimum(b, seg.hi)
-    f = seg.fn if weight is None else (lambda r, g=seg.fn, w=weight: w(r) * g(r))
-    tail = np.isinf(b) & (b > a)
-    k = np.maximum(a, max(seg.kinks, default=0.0))
-    out = quad_real(f, a, np.where(tail, k, b), points=[UNIT_BALL_RADIUS, *seg.kinks])
-    if tail.any():
-        try:
-            out[tail] += quad_complex(lambda rows, r: f(r), k[tail], math.inf, tail.sum()).real
-        except QuadratureError:
-            raise ValidationError(
-                "tail integral did not converge; segment violates finite-mass requirement"
-            ) from None
-    return out
+    g, p = seg.fn, seg.small_r_power
+    if weight is None:
+        f, power = (lambda rows, r: g(r)), (None if p is None else lambda rows, r0: p)
+    else:
+        f = lambda rows, r: weight(rows, r) * g(r)
+        power = None if p is None else (lambda rows, r0: p + power_at_origin(weight, rows, r0))
+    return quad_cut(f, a, b, (UNIT_BALL_RADIUS, *seg.kinks), power, where, start)
+
+
+def _segment_mass(seg: DensitySegment, a, b, weight=None) -> np.ndarray:
+    """Real :func:`_segment_integral` of ``weight(r)`` (1 for ``None``) on
+    ``(a_i, b_i)``.  With an unbounded interval among them, one that does
+    not converge raises :class:`ValidationError`, as a segment of infinite
+    mass; a clipped lower end of 0 must leave the integrand integrable."""
+    w = None if weight is None else (lambda rows, r: weight(r))
+    try:
+        return _segment_integral(seg, a, b, w).real
+    except QuadratureError:
+        if np.isfinite(np.minimum(b, seg.hi)).all():
+            raise
+        raise ValidationError(
+            "tail integral did not converge; segment violates finite-mass requirement"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -543,17 +555,16 @@ def char_exponent(triplet: LevyTriplet, y):
 
     ``y`` is one ``(dim,)`` vector (returns a complex) or a batch
     ``(n, dim)`` (returns ``(n,)`` complex).  Shift, Gaussian and atom
-    terms are evaluated on the whole batch.  Each density segment is
-    integrated for the whole batch by :func:`idcalc.quadrature.quad_complex`,
-    each part to ``max(1e-14, 1e-10 |part|)``, split at the compensator
-    kink at radius 1.  From the origin, ``power`` and ``exp`` segments
-    take the exact power series on ``(0, r0)``, and callables whose
-    ``small_r_power`` is below -2 are integrated over ``u`` after
-    ``r = u**m`` (:func:`idcalc.quadrature.origin_power`).  Unbounded
-    supports are integrated on growing cutoffs until the increments
-    settle, and raise :class:`QuadratureError` when they do not (heavy
-    ``power`` tails, and slowly decaying ``exp`` tails at high frequency,
-    can).
+    terms are evaluated on the whole batch.  Each density segment is one
+    segment integral, as masses are, of the jump term ``exp(i r c) - 1 -
+    i r c 1{r <= 1}`` of every projection ``c``, cut at radius 1 and the
+    kinks, each part to ``max(1e-14, 1e-10 |part|)``; a callable's piece
+    from 0 is substituted by its ``small_r_power`` plus 2.  From the
+    origin, ``power`` and ``exp`` segments take the exact power series on
+    ``(0, r0)`` first.  Unbounded supports are integrated on growing
+    cutoffs until the increments settle, and raise
+    :class:`QuadratureError` when they do not (heavy ``power`` tails, and
+    slowly decaying ``exp`` tails at high frequency, can).
     """
     one = np.ndim(y) != 2
     Y = _as_vector(y, triplet.dim)[None, :] if one else _as_batch(y, triplet.dim)
@@ -563,33 +574,18 @@ def char_exponent(triplet: LevyTriplet, y):
         for at in ray.atoms:
             val += at.w * _atom_terms(at.r, c)
         rows = np.flatnonzero(c != 0.0)
+        c = c[rows]
+        jump = lambda i, r: _atom_terms(r, c[i, None])
         for seg in ray.densities:
             where = f" of ray {k}'s {seg.kind} density on ({seg.lo:g}, {seg.hi:g}) at y="
-            val[rows] += _density_terms(seg, c[rows], lambda i: where + str(Y[rows[i]].tolist()))
+            r0, start = np.zeros(len(rows)), 0.0
+            if seg.lo == 0.0 and seg.kind in ("power", "exp"):
+                cut = min(seg.hi, UNIT_BALL_RADIUS)
+                r0 = np.minimum(cut, 1.0 / (np.abs(c) + (seg.rate or 0.0)))
+                start = _origin_series(seg, c, r0)
+            val[rows] += _segment_integral(seg, r0, math.inf, jump,
+                                           lambda i: where + str(Y[rows[i]].tolist()), start)
     return complex(val[0]) if one else val
-
-
-def _density_terms(seg: DensitySegment, c: np.ndarray, where) -> np.ndarray:
-    """Integral of ``g(r) (exp(i r c) - 1 - i r c 1{r <= 1})`` over the
-    segment, for every projection ``c``."""
-    f = lambda rows, r: seg.fn(r) * _atom_terms(r, c[rows, None])
-    out = np.zeros(len(c), dtype=complex)
-    cut = min(seg.hi, UNIT_BALL_RADIUS)
-    if seg.lo < cut:
-        head, lo, hi = f, seg.lo, cut
-        if seg.lo == 0.0 and seg.kind in ("power", "exp"):
-            lo = np.minimum(cut, 1.0 / (np.abs(c) + (seg.rate or 0.0)))
-            out += _origin_series(seg, c, lo)
-        elif seg.lo == 0.0 and seg.small_r_power is not None:
-            # the integrand is ~ r^(p+2) at 0
-            m = origin_power(seg.small_r_power + 2.0)
-            if m > 1.0:
-                head, hi = from_origin(f, np.full(len(c), cut), np.full(len(c), m)), 1.0
-        out += quad_complex(head, lo, hi, len(c), where)
-    a = max(seg.lo, UNIT_BALL_RADIUS)
-    if seg.hi > a:
-        out += quad_complex(f, a, seg.hi, len(c), where)
-    return out
 
 
 # powers kept in each index of _origin_series; with (|c| + rate) r0 <= 1

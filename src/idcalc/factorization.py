@@ -36,6 +36,11 @@ __all__ = [
 ]
 
 S_SELFDEC_NOTE = "beta=1: s-selfdecomposable case"
+# pass thresholds of the verifiers on their worst absolute difference
+PROP1_TOL = 1e-8
+LEMMA1E_TOL = 1e-8
+COR1B_TOL = 1e-7
+COR5_TOL = 1e-6
 
 
 def factor_rho(nu: IdMeasure, beta: float) -> IdMeasure:
@@ -49,7 +54,6 @@ def verify_prop1(
     nu: IdMeasure,
     beta: float,
     grid: Optional[np.ndarray] = None,
-    tol: float = 1e-8,
 ) -> VerificationReport:
     """Check ``j_beta(rho) * rho = j_beta(nu)`` for the constructed factor.
 
@@ -65,7 +69,7 @@ def verify_prop1(
     notes = [f"factor {rho.label} of {nu.label}"]
     if b == 1.0:
         notes.append(S_SELFDEC_NOTE)
-    report = grid_check("prop1", lhs, j_beta(nu, b).exponent, grid, tol, beta=b, notes=notes)
+    report = grid_check("prop1", lhs, j_beta(nu, b).exponent, grid, PROP1_TOL, beta=b, notes=notes)
     for pt, z in zip(report.points, rho_vals):
         pt["rho"] = [float(z.real), float(z.imag)]
     return report
@@ -75,7 +79,6 @@ def verify_lemma1e(
     rho: IdMeasure,
     beta: float,
     grid: Optional[np.ndarray] = None,
-    tol: float = 1e-8,
 ) -> VerificationReport:
     """Check ``J^{2b}(J^b(rho) * rho) = J^b(rho^{*2})`` on the grid."""
     b = check_beta(beta)
@@ -86,14 +89,13 @@ def verify_lemma1e(
     notes = [f"seed {rho.label}"]
     if b == 1.0:
         notes.append(S_SELFDEC_NOTE)
-    return grid_check("lemma1e", lhs.exponent, rhs.exponent, grid, tol, beta=b, notes=notes)
+    return grid_check("lemma1e", lhs.exponent, rhs.exponent, grid, LEMMA1E_TOL, beta=b, notes=notes)
 
 
 def verify_cor1b(
     seed: IdMeasure,
     beta: float,
     grid: Optional[np.ndarray] = None,
-    tol: float = 1e-7,
 ) -> VerificationReport:
     """Forward image check: for ``rho`` in the index-``2b`` image,
     ``j_beta(rho) * rho`` lies in the index-``b`` image.
@@ -106,9 +108,9 @@ def verify_cor1b(
         grid = default_grid(seed.dim)
     rho = j_beta(seed, 2.0 * b)
     mu = convolve(j_beta(rho, b), rho)
-    recovered = j_beta(j_beta_inverse(mu, b), b)
+    back = j_beta(j_beta_inverse(mu, b), b)
     notes = [f"seed {seed.label}"]
-    return grid_check("cor1b", mu.exponent, recovered.exponent, grid, tol, beta=b, notes=notes)
+    return grid_check("cor1b", mu.exponent, back.exponent, grid, COR1B_TOL, beta=b, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +146,6 @@ def verify_corollary5(
     G: SpectralMeasure,
     beta: float,
     mesh: Optional[Sequence[tuple[float, float]]] = None,
-    tol: float = 1e-6,
 ) -> VerificationReport:
     """Spectral-measure form of the factorization.
 
@@ -178,9 +179,9 @@ def verify_corollary5(
     return VerificationReport(
         identity="cor5",
         grid_max_abs=worst,
-        passed=worst < tol,
+        passed=worst < COR5_TOL,
         beta=b,
-        tolerance=tol,
+        tolerance=COR5_TOL,
         metric="mass_diff",
         points=points,
         notes=["radial test sets, measure-level factorization"],

@@ -45,6 +45,7 @@ COTH_NOTE = (
 )
 
 _SERIES_CUT = 1e-2
+LEVY_AREA_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,6 @@ def chi(params: AreaParams, t):
 def verify_levy_area(
     params: AreaParams,
     grid: Optional[np.ndarray] = None,
-    tol: float = 1e-8,
 ) -> VerificationReport:
     """Three-part check of the stochastic-area factorization.
 
@@ -177,15 +177,15 @@ def verify_levy_area(
     clocked = i_of_j_beta(nu, 1.0)
     decomp = np.abs(lhs - (clocked.exponent(grid) + shrunk.exponent(grid)))
     worst_decomp = float(decomp.max(initial=0.0))
-    decomp_ok = worst_decomp < tol
+    decomp_ok = worst_decomp < LEVY_AREA_TOL
 
-    passed = worst < tol and product_ok and decomp_ok
+    passed = worst < LEVY_AREA_TOL and product_ok and decomp_ok
     return VerificationReport(
         identity="levyarea",
         grid_max_abs=worst,
         passed=passed,
         beta=None,
-        tolerance=tol,
+        tolerance=LEVY_AREA_TOL,
         metric="abs_diff",
         points=points,
         notes=notes,

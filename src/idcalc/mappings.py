@@ -35,6 +35,7 @@ from .core import (
     RadialComponent,
     SpectralMeasure,
     _log_moment_flag,
+    _segment_integral,
     batched_exponent,
     callable_segment,
     log_moment,
@@ -99,14 +100,13 @@ def _smear_segment(seg: DensitySegment, beta: float) -> DensitySegment:
     """Smear of one density: ``beta rho^(beta-1)`` times the integral of
     ``s^-beta g(s)`` over ``s > rho`` within the support.  The inner
     integral is in closed form for a power density; otherwise the inner
-    integrals of a batch of radii are the rows of one quadrature call."""
+    integrals of a batch of radii are the rows of one segment integral."""
     lo, hi = seg.lo, seg.hi
     if seg.kind == "power":
         c, q = seg.coef, seg.exponent - beta + 1.0
         inner = lambda a: c * (np.log(hi / a) if q == 0.0 else (hi**q - a**q) / q)
     else:
-        h = lambda rows, s, g=seg.fn: s**-beta * g(s)
-        inner = lambda a: quad_complex(h, a, hi, a.size).real
+        inner = lambda a: _segment_integral(seg, a, hi, lambda rows, s: s**-beta).real
 
     def g_out(rho):
         rho = np.asarray(rho, dtype=float)

@@ -5,15 +5,12 @@ Gauss-Kronrod rule with its error heuristic (:func:`gk21`; Piessens et
 al., QUADPACK, 1983), applied to the panels of a whole batch of rows at
 once, each row bisecting on its own until its real and imaginary part
 each meet ``max(1e-14, 1e-10 |part|)``.  The radial transform of
-``mappings``, the density segments of ``core.char_exponent`` and every
-spectral mass go through it; :func:`quad_real` is its entry point for
-real integrands on intervals cut at break points.
-
-Integrals over unbounded tails, and integrals whose convergence at an
-endpoint is itself in question, are evaluated on a growing (or
-shrinking) sequence of cutoffs so that non-convergence is detected and
-reported instead of silently trusted (:func:`tail_quad`,
-:func:`head_quad`).
+``mappings`` calls it; every integral over radii goes through
+:func:`quad_cut`, which cuts rows at break points, substitutes pieces
+from 0 and stages unbounded tails on growing cutoffs, so that a tail that
+does not settle is reported instead of silently trusted.
+:func:`quad_real` is its real entry point, and :func:`tail_quad` and
+:func:`head_quad` flag non-convergence on ``(a, inf)`` and ``(0, b)``.
 """
 
 from __future__ import annotations
@@ -121,12 +118,9 @@ def quad_complex(f, a, b, n: int, where=lambda i: "") -> np.ndarray:
     it bisects the panels whose error in that part exceeds their length's
     share of the tolerance; the pending panels of all rows go to ``f``
     together.  A row that needs more than ``PANEL_LIMIT`` panels raises
-    :class:`QuadratureError`, where ``where(i)`` describes row ``i``.  An
-    infinite ``b`` runs on the growing cutoffs of :func:`tail_quad`, from
-    each row's own ``a``, under the same convergence contract.
+    :class:`QuadratureError`, where ``where(i)`` describes row ``i``.  The
+    ends are finite; :func:`quad_cut` reaches an infinite one.
     """
-    if np.ndim(b) == 0 and math.isinf(b):
-        return _staged_quad(f, n, a, np.maximum(2.0 * a, 10.0), _grow, where)
     a, b = np.zeros(n) + a, np.zeros(n) + b
     span = b - a
     out = np.zeros(n, dtype=complex)
@@ -181,21 +175,16 @@ _MAX_STAGES = 40
 _STAGE_BLOCK = 4
 
 
-def _grow(lo: float, hi: float) -> tuple[float, float]:
-    return hi, _STAGE_FACTOR * hi
-
-
-def _staged_quad(f, n: int, lo, hi, next_piece, where=lambda i: ""):
+def _staged_quad(f, n: int, lo: np.ndarray, where=lambda i: ""):
     """Integrals ``(n,)`` of ``f(rows, t)``, as in :func:`quad_complex`,
-    summed over the piece ``(lo, hi)`` and the pieces that
-    ``next_piece(lo, hi)`` yields after it; the ends are scalars or
-    per-row arrays.  A row stops after two increments in a row whose parts
-    are each within ``max(10 ABS_TOL, REL_TOL |part of its sum|)``, and
-    raises :class:`QuadratureError` if it has not after ``_MAX_STAGES``
-    pieces."""
-    pieces = [(np.zeros(n) + lo, np.zeros(n) + hi)]
+    over ``(lo_i, inf)``: the pieces ``(lo, max(2 lo, 10))``, each next one
+    ``_STAGE_FACTOR`` times as far out.  A row stops after two increments
+    in a row whose parts are each within ``max(10 ABS_TOL, REL_TOL |part
+    of its sum|)``, and raises :class:`QuadratureError` if it has not after
+    ``_MAX_STAGES`` pieces."""
+    pieces = [(lo, np.maximum(2.0 * lo, 10.0))]
     for _ in range(_MAX_STAGES):
-        pieces.append(next_piece(*pieces[-1]))
+        pieces.append((pieces[-1][1], _STAGE_FACTOR * pieces[-1][1]))
     rows = np.arange(n)
     total = np.zeros(n, dtype=complex)
     streak = np.zeros(n, dtype=bool)  # the last increment was small
@@ -231,85 +220,94 @@ def _staged_quad(f, n: int, lo, hi, next_piece, where=lambda i: ""):
     )
 
 
-def origin_power(q: float) -> float:
-    """Power ``m`` of the substitution ``r = r0 u**m`` that turns an
-    integrand ``~ r**q`` at 0, ``-1 < q < 0``, into one ``~ u**0``:
-    ``1/(q+1)``, and 1 (none) for any other ``q``.  GK21 bisection cannot
-    meet its share of the tolerance next to an integrable singularity, and
-    an integer ``m`` above ``1/(q+1)`` leaves a power ``u**s``,
-    ``0 < s < 1``, that drives it deep towards 0."""
-    return 1.0 / (q + 1.0) if -1.0 < q < 0.0 else 1.0
+def power_at_origin(f, rows: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    """Power ``q`` of ``f(rows, r) ~ C r**q`` at 0 per row, read off ``f``
+    at ``r0 2**-40`` and ``r0 2**-39`` (NaN where it is not finite)."""
+    with np.errstate(all="ignore"):  # f may not be finite at 0
+        v = np.abs(f(rows, r0[:, None] * np.array([2.0**-40, 2.0**-39])))
+        return np.log2(v[:, 1] / v[:, 0])
 
 
-def from_origin(f, r0: np.ndarray, m: np.ndarray):
-    """``f(rows, r)`` on ``(0, r0_i)`` as an integrand of ``u`` on ``(0, 1)``
-    after ``r = r0_i u**m_i``, for per-row arrays ``r0`` and ``m``."""
+def quad_cut(f, a, b, points: Sequence[float] = (), power=None, where=lambda i: "",
+             start=0.0) -> np.ndarray:
+    """Integrals ``(n,)`` of ``f(rows, r)`` over ``(a_i, b_i)``, ends that
+    broadcast to ``(n,)``, each added to ``start``: the one rule for
+    integrals over radii.  Each row is cut at the ``points`` inside it, its
+    pieces added in order; the finite pieces of all rows are the rows of
+    one :func:`quad_complex` call.  A piece ``(0, r0)`` whose integrand is
+    ``~ r**q``, ``-1 < q < 0``, is integrated over ``u`` after ``r = r0
+    u**(1/(q+1))``, which leaves it bounded where bisection could not meet
+    its tolerance; ``power(rows, r0)`` gives ``q``, by default read off
+    ``f``.  An unbounded row's last piece runs from its last cut on
+    growing cutoffs (:func:`_staged_quad`).  ``where(i)`` describes row
+    ``i`` in the :class:`QuadratureError` of a row that does not converge.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    n, b = a.size, np.maximum(a, b)
+    # each row's cuts: a, then the points inside, absent points repeating a
+    pts = np.asarray(points, dtype=float)
+    inner = np.where((pts > a[:, None]) & (pts < b[:, None]), pts, a[:, None])
+    cuts = np.sort(np.column_stack([a, inner]), axis=1)
+    tail = np.isinf(b)
+    ends = np.column_stack([cuts, np.where(tail, cuts[:, -1], b)])
+    lo, hi = ends[:, :-1].ravel(), ends[:, 1:].ravel()
+    row = np.repeat(np.arange(n), ends.shape[1] - 1)
+    g = lambda i, t: f(row[i], t)
+    m = np.ones(lo.size)
+    origin = np.flatnonzero((lo == 0.0) & (hi > 0.0))
+    if len(origin):
+        rows, r0 = row[origin], hi[origin]
+        q = np.zeros(len(origin)) + (power(rows, r0) if power else power_at_origin(f, rows, r0))
+        with np.errstate(all="ignore"):
+            m[origin] = np.where((q > -1.0) & (q < 0.0), 1.0 / (q + 1.0), 1.0)
+    if (m > 1.0).any():
+        s, h, hi = np.where(m > 1.0, hi, 1.0), g, np.where(m > 1.0, 1.0, hi)
 
-    def g(rows, u):
-        s, k = r0[rows, None], m[rows, None]
-        return f(rows, s * u**k) * (k * s * u ** (k - 1.0))
+        def g(i, u):
+            r, k = s[i, None], m[i, None]
+            return h(i, r * u**k) * (k * r * u ** (k - 1.0))
 
-    return g
+    val = quad_complex(g, lo, hi, lo.size, lambda i: where(row[i])).reshape(n, -1)
+    out = np.zeros(n, dtype=complex) + start
+    for piece in val.T:
+        out += piece
+    if tail.any():
+        rows = np.flatnonzero(tail)
+        out[rows] += _staged_quad(lambda i, t: f(rows[i], t), len(rows), cuts[rows, -1],
+                                  lambda i: where(rows[i]))
+    return out
 
 
 def quad_real(f: Callable[[np.ndarray], np.ndarray], a, b,
               points: Optional[Sequence[float]] = None):
-    """Integral of a real integrand over the finite interval ``(a, b)``
-    (0 when ``b <= a``), raising :class:`QuadratureError` on
-    non-convergence; for arrays of ends, the integrals over each
-    ``(a_i, b_i)``.
-
-    ``f`` maps an array of abscissae to the array of its values.  Each
-    interval is cut at the break points ``points`` inside it, and the
-    pieces of all intervals are the rows of one :func:`quad_complex` call,
-    each held to the tolerance of its own value.  A piece from 0 is
-    integrated over ``u`` after ``r = r0 u**m``, with ``r0`` its right end
-    and ``m`` from the power of ``f`` at 0, read off ``f`` at two small
-    radii (:func:`origin_power`), so integrable power singularities there
-    converge.
+    """Integral of a real integrand ``f``, which maps an array of abscissae
+    to the array of its values, over ``(a, b)`` (0 when ``b <= a``); for
+    arrays of ends, the integrals over each ``(a_i, b_i)``.  This is
+    :func:`quad_cut` with the break points ``points`` and the power of
+    ``f`` at 0 read off ``f``; ``b`` may be infinite.  Raises
+    :class:`QuadratureError` on non-convergence.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    shape, a, b = a.shape, a.ravel(), np.maximum(a, b).ravel()
-    # each row's ends and the break points inside; absent points repeat b
-    pts = np.asarray(points or (), dtype=float)
-    inner = np.where((pts > a[:, None]) & (pts < b[:, None]), pts, b[:, None])
-    ends = np.sort(np.column_stack([a, inner, b]), axis=1)
-    lo, hi = ends[:, :-1].ravel(), ends[:, 1:].ravel()
-    g = lambda rows, t: f(t)
-    origin, m = (lo == 0.0) & (hi > 0.0), 1.0
-    if origin.any():
-        with np.errstate(all="ignore"):  # f may not be finite at 0
-            v = np.abs(f(hi[origin][0] * np.array([2.0**-40, 2.0**-39])))
-            m = origin_power(float(np.log2(v[1] / v[0])))
-    if m > 1.0:
-        g = from_origin(g, np.where(origin, hi, 1.0), np.where(origin, m, 1.0))
-        hi = np.where(origin, 1.0, hi)
-    val = quad_complex(g, lo, hi, lo.size).real.reshape(a.size, -1).sum(axis=1).reshape(shape)
+    val = quad_cut(lambda rows, t: f(t), a.ravel(), b.ravel(), points or ()).real.reshape(a.shape)
     return float(val) if val.ndim == 0 else val
 
 
-def _staged_real(f, lo: float, hi: float, next_piece) -> tuple[float, bool]:
-    try:
-        total = _staged_quad(lambda rows, t: f(t), 1, lo, hi, next_piece)
-    except QuadratureError:
-        return np.nan, False
-    return float(total[0].real), True
-
-
 def tail_quad(f: Callable[[np.ndarray], np.ndarray], a: float) -> tuple[float, bool]:
-    """Integrate ``f`` over ``(a, inf)`` on a growing cutoff sequence.
-
-    Returns ``(value, converged)``.  ``converged`` is False when the
-    partial integrals fail to stabilize, which is how callers detect a
-    (numerically) divergent tail without pretending to prove divergence.
-    """
-    return _staged_real(f, a, max(2.0 * a, 10.0), _grow)
+    """``(value, converged)`` of :func:`quad_real` on ``(a, inf)``: its
+    growing cutoffs leave ``converged`` False when the partial integrals
+    fail to stabilize, which is how callers detect a (numerically)
+    divergent tail without pretending to prove divergence."""
+    try:
+        return quad_real(f, a, math.inf), True
+    except QuadratureError:
+        return math.nan, False
 
 
 def head_quad(f: Callable[[np.ndarray], np.ndarray], b: float) -> tuple[float, bool]:
-    """Integrate ``f`` over ``(0, b]`` on a shrinking cutoff sequence.
-
-    Same convergence contract as :func:`tail_quad`, used to probe
-    integrability at the origin.
-    """
-    return _staged_real(f, b / _STAGE_FACTOR, b, lambda lo, hi: (lo / _STAGE_FACTOR, lo))
+    """``(value, converged)`` of :func:`quad_real` on ``(0, b]``, which
+    probes integrability at the origin: ``f ~ r**q`` converges after the
+    substitution when ``q > -1``, and runs out of panels when ``q <= -1``."""
+    try:
+        return quad_real(f, 0.0, b), True
+    except QuadratureError:
+        return math.nan, False

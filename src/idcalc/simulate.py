@@ -31,7 +31,6 @@ import numpy as np
 from .core import LevyTriplet, SpectralMeasure, _segment_mass, as_batched
 from .errors import ValidationError
 from .mappings import check_beta, sigma_clock
-from .quadrature import tail_quad
 
 __all__ = [
     "PathConfig",
@@ -223,15 +222,17 @@ class _JumpModel:
         """Inverse-CDF table on a geometric grid of the truncated density."""
         hi = seg.hi
         if math.isinf(hi):
-            # grow the cutoff until the remaining tail is negligible
-            hi = max(2.0 * lo, 1.0)
-            while True:
-                tail, ok = tail_quad(seg.fn, hi)
-                if ok and tail <= 1e-12 * mass:
-                    break
-                hi *= 2.0
-                if hi > 1e15:
-                    raise ValidationError("segment tail decays too slowly to sample")
+            # the first cutoff of a doubling ladder whose tail is negligible
+            ladder = max(2.0 * lo, 1.0) * 2.0 ** np.arange(64)
+            ladder = ladder[: max(1, np.count_nonzero(ladder <= 1e15))]
+            try:
+                tails = _segment_mass(seg, ladder, math.inf)
+            except ValidationError:  # a rung whose tail does not settle
+                tails = np.full(len(ladder), np.nan)
+            small = np.flatnonzero(tails <= 1e-12 * mass)
+            if not len(small):
+                raise ValidationError("segment tail decays too slowly to sample")
+            hi = float(ladder[small[0]])
         r = np.geomspace(lo, hi, _TABLE_NODES)
         g = seg.fn(r)
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(r))])

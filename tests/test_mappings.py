@@ -117,6 +117,48 @@ def test_smeared_triplet_of_singular_power_density_from_zero(beta):
     assert abs(triplet_route - complex(j_beta(mu, beta).exponent(y))) < 1e-10
 
 
+@pytest.mark.parametrize("beta", BETAS)
+def test_smeared_gamma_second_moment_below_against_mpmath(beta):
+    # the smear of e^-r/r is b r^(b-1) Gamma(-b, r) ~ 1/r at 0; its hint
+    # gives r^2 g(r) the power 1, so no radius near 0 is probed.  Oracle,
+    # with the t-integral done first: b/(b+2) (gamma(2, eps) + eps^(b+2)
+    # Gamma(-b, eps))
+    mp = pytest.importorskip("mpmath")
+    eps = 1e-3
+    with mp.workdps(40):
+        want = float(beta / (beta + 2) * (mp.gammainc(2, 0, eps)
+                                          + mp.mpf(eps) ** (beta + 2) * mp.gammainc(-beta, eps)))
+    got = smear_spectral(gamma(1.0, 1.0).triplet.M, beta).second_moment_below(eps)[0, 0]
+    assert abs(got - want) <= max(1e-14, 1e-10 * abs(want))
+
+
+def test_kink_of_smeared_density_cuts_the_exponent(monkeypatch):
+    # a power density on (0.2, 3) smears to a density that bends at 0.2;
+    # cut there, its exponent costs no more than the same density's from 0
+    from idcalc import quadrature
+
+    # integrand evaluations: panels of the one GK21 rule times its nodes
+    evals = [0]
+    plain = quadrature._panel_rules
+
+    def counting(f, elem, a, b):
+        evals[0] += len(elem) * quadrature.GK21_NODES.size
+        return plain(f, elem, a, b)
+
+    monkeypatch.setattr(quadrature, "_panel_rules", counting)
+    for beta in (1.0, 2.0):
+        cost = {}
+        for lo in (0.2, 0.0):
+            seg = power_segment(0.6, 0.5, lo, 3.0)
+            M = SpectralMeasure((RadialComponent(np.array([1.0]), densities=(seg,)),))
+            triplet = smear_triplet(LevyTriplet(np.zeros(1), np.zeros((1, 1)), M), beta)
+            assert triplet.M.rays[0].densities[0].kinks == ((lo,) if lo else ())
+            evals[0] = 0
+            char_exponent(triplet, GRID)
+            cost[lo] = evals[0]
+        assert cost[0.2] <= cost[0.0], (beta, cost)
+
+
 @pytest.mark.parametrize("mu", list(FAMILIES.values()), ids=list(FAMILIES))
 @pytest.mark.parametrize("beta", BETAS)
 def test_jbeta_triplet_matches_quadrature(mu, beta):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from idcalc import (
     KernelIntegralSpec,
     PathConfig,
+    RadialComponent,
+    SpectralMeasure,
     ValidationError,
     cf_distance_test,
     clocked_integral_spec,
@@ -22,8 +24,10 @@ from idcalc import (
     jbeta_integral_spec,
     measure_from_spec,
     poisson,
+    power_segment,
     sample_integral,
     sigma_clock,
+    smear_triplet,
 )
 from idcalc import simulate
 from idcalc.core import _segment_mass
@@ -412,6 +416,26 @@ def test_jump_radii_are_finite_and_inside_the_table(name):
     top = model._cum[-1]
     j = model._cells(np.array([top, np.nextafter(top, 0.0)]))
     assert np.all(cell_mass[j] > 0.0)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_sampler_draws_from_a_smeared_triplet(beta):
+    # the smear of gamma's density is ~ 1/r at 0: the small-jump second
+    # moment below the cutoff integrates it from 0
+    triplet = smear_triplet(gamma(1.0, 1.0).triplet, beta)
+    samples = sample_integral(triplet, jbeta_integral_spec(1.0), CFG, 500, seed=5)
+    assert samples.shape == (500, 1)
+    assert np.all(np.isfinite(samples))
+
+
+def test_jump_table_rejects_a_tail_that_never_gets_negligible():
+    # r^-1.5 has a finite tail mass, but at the last cutoff, 1e15, the mass
+    # beyond is still 6e-8
+    M = SpectralMeasure(
+        (RadialComponent(np.array([1.0]), densities=(power_segment(1.0, -1.5, 1.0, math.inf),)),)
+    )
+    with pytest.raises(ValidationError, match="decays too slowly"):
+        _JumpModel(M, EPS)
 
 
 def _reference_sample(triplet, spec, cfg, n, seed):
