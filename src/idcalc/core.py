@@ -23,6 +23,7 @@ radius exactly 1 is compensated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
@@ -30,7 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import QuadratureError, ValidationError
-from .quadrature import head_quad, power_at_origin, quad_cut, tail_quad
+from .quadrature import ROW_CAP, head_quad, power_at_origin, quad_cut, tail_quad
 
 UNIT_BALL_RADIUS = 1.0
 
@@ -215,10 +216,10 @@ def scale_segment(seg: DensitySegment, c: float) -> DensitySegment:
     return replace(seg, fn=lambda r, g=seg.fn, c=c: c * g(r))
 
 
-def _segment_integral(seg: DensitySegment, a, b, weight=None, where=lambda i: "", start=0.0):
+def _segment_integral(seg: DensitySegment, a, b, weight=None, where=lambda i: ""):
     """Integrals ``(n,)``, complex, of ``weight(rows, r) g(r)`` (``g`` for
-    ``None``) over ``(a_i, b_i)`` clipped to the support, each added to
-    ``start``: every integral over a density segment is one call of
+    ``None``) over ``(a_i, b_i)`` clipped to the support: every quadrature
+    over a density segment is one call of
     :func:`idcalc.quadrature.quad_cut`, cut at radius 1 and the kinks.  A
     piece from 0 takes the power of its integrand from ``small_r_power``
     plus the weight's power, read off the weight alone; only a segment
@@ -232,7 +233,7 @@ def _segment_integral(seg: DensitySegment, a, b, weight=None, where=lambda i: ""
     else:
         f = lambda rows, r: weight(rows, r) * g(r)
         power = None if p is None else (lambda rows, r0: p + power_at_origin(weight, rows, r0))
-    return quad_cut(f, a, b, (UNIT_BALL_RADIUS, *seg.kinks), power, where, start)
+    return quad_cut(f, a, b, (UNIT_BALL_RADIUS, *seg.kinks), power, where)
 
 
 def _segment_mass(seg: DensitySegment, a, b, weight=None) -> np.ndarray:
@@ -555,16 +556,15 @@ def char_exponent(triplet: LevyTriplet, y):
 
     ``y`` is one ``(dim,)`` vector (returns a complex) or a batch
     ``(n, dim)`` (returns ``(n,)`` complex).  Shift, Gaussian and atom
-    terms are evaluated on the whole batch.  Each density segment is one
+    terms are evaluated on the whole batch.  A ``power`` or ``exp``
+    density's term is in closed form (:func:`_density_exponent`), on any
+    support and at any frequency.  A callable density's term is one
     segment integral, as masses are, of the jump term ``exp(i r c) - 1 -
     i r c 1{r <= 1}`` of every projection ``c``, cut at radius 1 and the
-    kinks, each part to ``max(1e-14, 1e-10 |part|)``; a callable's piece
-    from 0 is substituted by its ``small_r_power`` plus 2.  From the
-    origin, ``power`` and ``exp`` segments take the exact power series on
-    ``(0, r0)`` first.  Unbounded supports are integrated on growing
-    cutoffs until the increments settle, and raise
-    :class:`QuadratureError` when they do not (heavy ``power`` tails, and
-    slowly decaying ``exp`` tails at high frequency, can).
+    kinks, each part to ``max(1e-14, 1e-10 |part|)``: its piece from 0 is
+    substituted by its ``small_r_power`` plus 2, and an unbounded support
+    is integrated on growing cutoffs until the increments settle, and
+    raises :class:`QuadratureError` when they do not.
     """
     one = np.ndim(y) != 2
     Y = _as_vector(y, triplet.dim)[None, :] if one else _as_batch(y, triplet.dim)
@@ -577,33 +577,141 @@ def char_exponent(triplet: LevyTriplet, y):
         c = c[rows]
         jump = lambda i, r: _atom_terms(r, c[i, None])
         for seg in ray.densities:
+            if seg.kind in ("power", "exp"):
+                for i in range(0, c.size, ROW_CAP):  # a fixed working set, as quadrature has
+                    val[rows[i : i + ROW_CAP]] += _density_exponent(seg, c[i : i + ROW_CAP])
+                continue
             where = f" of ray {k}'s {seg.kind} density on ({seg.lo:g}, {seg.hi:g}) at y="
-            r0, start = np.zeros(len(rows)), 0.0
-            if seg.lo == 0.0 and seg.kind in ("power", "exp"):
-                cut = min(seg.hi, UNIT_BALL_RADIUS)
-                r0 = np.minimum(cut, 1.0 / (np.abs(c) + (seg.rate or 0.0)))
-                start = _origin_series(seg, c, r0)
-            val[rows] += _segment_integral(seg, r0, math.inf, jump,
-                                           lambda i: where + str(Y[rows[i]].tolist()), start)
+            val[rows] += _segment_integral(seg, np.zeros(c.size), math.inf, jump,
+                                           lambda i: where + str(Y[rows[i]].tolist()))
     return complex(val[0]) if one else val
 
 
-# powers kept in each index of _origin_series; with (|c| + rate) r0 <= 1
-# the terms left out add up to less than 1e-20 of the leading one
-_SERIES_TERMS = 22
+# closed-form density exponents: r^(q-1) e^(-zr) is integrated term by term where
+# (|z| + Re z) r <= _REACH (the terms' moduli add up to at most e^_REACH times the
+# sum), through Gamma(q, zr) beyond; the powers _N leave out under 4^34/34! < 4e-18
+_REACH, _N = 4.0, np.arange(34)
 
 
-def _origin_series(seg: DensitySegment, c: np.ndarray, r0: np.ndarray) -> np.ndarray:
-    """``int_0^r0 coef r^p exp(-lam r) (exp(i c r) - 1 - i c r) dr`` for a
-    power (``lam = 0``) or exp segment and ``(|c| + lam) r0 <= 1``: both
-    exponentials expanded, the double sum over ``(icr)^m/m!``, ``m >= 2``,
-    and ``(-lam r)^l/l!`` integrated term by term."""
-    k = np.arange(_SERIES_TERMS + 1)
-    inv_fact = 1.0 / np.cumprod(np.maximum(k, 1))
-    jump = ((1j * c * r0)[:, None] ** k * inv_fact)[:, 2:]
-    damp = (-(seg.rate or 0.0) * r0)[:, None] ** k * inv_fact
-    den = seg.exponent + 1.0 + k[2:, None] + k
-    return seg.coef * r0 ** (seg.exponent + 1.0) * np.einsum("nm,nl,ml->n", jump, damp, 1.0 / den)
+def _taylor(x) -> np.ndarray:
+    """``x^k / k!`` for ``k`` in ``_N``, a row for each value of ``x``."""
+    t = np.ones((x.size, _N.size), dtype=x.dtype)
+    np.divide(x[:, None], _N[1:], out=t[:, 1:])
+    return np.cumprod(t, axis=1, out=t)
+
+
+def _series(t, q, a, b) -> np.ndarray:
+    """``sum_n t_n b^-n int_a^b r^(q+n-1) dr`` for rows of ``t``, ``q`` and ``0
+    <= a <= b < inf``; ``expm1`` keeps the digits of ``q + n`` near 0."""
+    Q = np.asarray(q)[..., None] + _N[: t.shape[1]]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        L = np.log(a / b)[..., None]
+        pd = 1.0 / Q if np.all(a == 0) else np.where(Q == 0, -L, -np.expm1(Q * L) / Q)
+        return b**q * (t * pd).sum(1)
+
+
+def _gamma_upper(s, w):
+    """``(g, low)``, ``Gamma(s, w) = g + low Gamma(s)``, for real ``s``, ``Re w
+    >= 0``, ``|w| >= 1`` (*Numerical Recipes*, 3rd ed., 5.2, 6.2): Legendre's
+    continued fraction (DLMF 8.9.2) by modified Lentz where ``|w| >= s - 1``,
+    else ``g = -w^s e^-w sum_n w^n / (s (s+1) ... (s+n))`` (DLMF 8.7.1)."""
+    s, w = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(w, dtype=complex))
+    low = np.abs(w) < s - 1.0
+    out, idx, q = np.empty(w.shape, dtype=complex), np.flatnonzero(~low), s[~low]
+    b = w[~low] + 1.0 - q
+    h = d = 1.0 / np.where(b == 0.0, 1e-300, b)
+    c = np.full(idx.size, 1e300, dtype=complex)
+    for k in range(1, 2000):
+        if not idx.size:
+            break
+        b, an = b + 2.0, k * (q - k)
+        d, c = 1.0 / (b + an * d), b + an / c
+        step = c * d
+        h = h * step
+        if k % 2 == 0 and (done := np.abs(step - 1.0) <= 4.5e-16).any():
+            out[idx[done]], live = h[done], ~done
+            idx, q, b, c, d, h = idx[live], q[live], b[live], c[live], d[live], h[live]
+    else:
+        raise QuadratureError(f"continued fraction of Gamma(s, w) did not settle at w={w[idx[0]]}")
+    q, x = s[low], w[low]
+    term = total = 1.0 / q
+    for n in range(1, 2000):
+        if not (np.abs(term) > 2.2e-16 * np.abs(total)).any():
+            break
+        term = term * x / (q + n)
+        total = total + term
+    out[low] = -total
+    return out * np.exp(s * np.log(w) - w), low
+
+
+def _power_exp(q, z, a, b) -> np.ndarray:
+    """``int_a^b r^(q-1) e^(-zr) dr`` for rows of ``q``, ``Re z >= 0`` and ``0
+    <= a <= b <= inf`` (``b`` finite if ``z = 0``): term by term up to ``r0 =
+    _REACH / (|z| + Re z)``, and ``z^-q (Gamma(q, z r0) - Gamma(q, z b))``
+    beyond (principal branch)."""
+    q, z, a, b = np.broadcast_arrays(q, np.atleast_1d(np.asarray(z, dtype=complex)), a, b)
+    with np.errstate(divide="ignore"):
+        r0 = np.clip(_REACH / (np.abs(z) + z.real), a, b)
+    out = np.zeros(z.shape, dtype=complex)
+    i = np.flatnonzero(a < r0)
+    out[i] = _series(_taylor(-z[i] * r0[i]), q[i], a[i], r0[i])
+    i = np.flatnonzero(r0 < b)
+    if not i.size:
+        return out
+    fin = i[np.isfinite(b[i])]  # Gamma(q, inf) = 0
+    g, low = _gamma_upper(np.r_[q[i], q[fin]], np.r_[z[i] * r0[i], z[fin] * b[fin]])
+    j, low = np.searchsorted(i, fin), low.astype(float)
+    g[j], low[j] = g[j] - g[i.size :], low[j] - low[i.size :]
+    k = np.flatnonzero(low[: i.size])
+    g[k] += low[k] * [math.gamma(v) for v in q[i[k]]]
+    out[i] += z[i] ** -q[i] * g[: i.size]
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def _moments(s: float, lam: float, a: float, b: float, h: float, k0: int) -> np.ndarray:
+    """``h^k int_a^b r^(s+k-1) e^(-lam r) dr``, ``k0 <= k < 34``, in units of
+    ``l = b`` where ``lam b <= 2``, else ``1 / lam``; kept for later calls."""
+    l, k = (b if math.isfinite(b) and lam * b <= 2.0 else 1.0 / lam), _N[k0:]
+    m = (h * l) ** k * l**s * _power_exp(s + k, lam * l, a / l, b / l).real
+    m.setflags(write=False)
+    return m
+
+
+def _density_exponent(seg: DensitySegment, c: np.ndarray) -> np.ndarray:
+    """``int coef r^(s-1) e^(-lam r) (e^(icr) - 1 - icr 1{r <= 1}) dr`` of a
+    ``power`` (``lam = 0``) or ``exp`` segment, rows of ``c != 0``, on its
+    pieces inside and beyond radius 1.  Rows with ``|c| <= h`` sum the Taylor
+    series in ``c`` of :func:`_moments`; the others sum the jump term's series
+    up to ``r0 = _REACH / (|c| + 2 lam)``, and ``int r^(s-1) (e^(-zr) - e^(-lam
+    r) - icr e^(-lam r)) dr``, ``z = lam - ic``, beyond, where ``|c| r >= 4/9
+    _REACH`` keeps the three from cancelling."""
+    s, lam = seg.exponent + 1.0, seg.rate or 0.0
+    real = lambda q, a, b: (_power_exp(q, lam, a, b).real if lam > 0.0 else np.log(b / a)
+                            if q == 0.0 else a**q * np.expm1(q * np.log(b / a)) / q)
+    out = np.zeros(c.size, dtype=complex)
+    for a, b, k0 in ((seg.lo, min(seg.hi, UNIT_BALL_RADIUS), 2),
+                     (max(seg.lo, UNIT_BALL_RADIUS), seg.hi, 1)):
+        h = _REACH / b if math.isfinite(b) and lam * b <= 2.0 else lam / (4.0 + max(s, 0.0))
+        near = (np.abs(c) <= (min(h, _REACH / a) if a > 0.0 else h)) & (a < b)
+        if near.any():
+            t = _taylor(1j * c[near] / h)[:, k0:]
+            out[near] += (t * _moments(s, lam, a, b, h, k0)).sum(1)
+        i = np.flatnonzero(~near & (a < b))
+        if not i.size:
+            continue
+        ci, r0 = c[i], np.clip(_REACH / (np.abs(c[i]) + 2.0 * lam), a, b)
+        e = _taylor(-lam * r0) if lam else np.eye(1, _N.size)
+        t = _taylor((1j * ci - lam) * r0) - e
+        if k0 == 2:
+            t[:, 1:] -= (1j * ci * r0)[:, None] * e[:, :-1]
+        val = _series(t[:, k0:], s + k0, a, r0) * r0**-k0
+        j = np.flatnonzero(r0 < b)
+        val[j] += _power_exp(s, lam - 1j * ci[j], r0[j], b) - real(s, r0[j], b)
+        if k0 == 2:
+            val[j] -= 1j * ci[j] * real(s + 1.0, r0[j], b)
+        out[i] += val
+    return seg.coef * out
 
 
 # ---------------------------------------------------------------------------

@@ -228,19 +228,18 @@ def power_at_origin(f, rows: np.ndarray, r0: np.ndarray) -> np.ndarray:
         return np.log2(v[:, 1] / v[:, 0])
 
 
-def quad_cut(f, a, b, points: Sequence[float] = (), power=None, where=lambda i: "",
-             start=0.0) -> np.ndarray:
+def quad_cut(f, a, b, points: Sequence[float] = (), power=None, where=lambda i: "") -> np.ndarray:
     """Integrals ``(n,)`` of ``f(rows, r)`` over ``(a_i, b_i)``, ends that
-    broadcast to ``(n,)``, each added to ``start``: the one rule for
-    integrals over radii.  Each row is cut at the ``points`` inside it, its
-    pieces added in order; the finite pieces of all rows are the rows of
-    one :func:`quad_complex` call.  A piece ``(0, r0)`` whose integrand is
-    ``~ r**q``, ``-1 < q < 0``, is integrated over ``u`` after ``r = r0
-    u**(1/(q+1))``, which leaves it bounded where bisection could not meet
-    its tolerance; ``power(rows, r0)`` gives ``q``, by default read off
-    ``f``.  An unbounded row's last piece runs from its last cut on
-    growing cutoffs (:func:`_staged_quad`).  ``where(i)`` describes row
-    ``i`` in the :class:`QuadratureError` of a row that does not converge.
+    broadcast to ``(n,)``: the one rule for integrals over radii.  Each row
+    is cut at the ``points`` inside it, its pieces added in order; the
+    finite pieces of all rows are the rows of one :func:`quad_complex`
+    call.  A piece ``(0, r0)`` whose integrand is ``~ r**q``, ``-1 < q <
+    0``, is integrated over ``u`` after ``r = r0 u**(1/(q+1))``, which
+    leaves it bounded where bisection could not meet its tolerance;
+    ``power(rows, r0)`` gives ``q``, by default read off ``f``.  An
+    unbounded row's last piece runs from its last cut on growing cutoffs
+    (:func:`_staged_quad`).  ``where(i)`` describes row ``i`` in the
+    :class:`QuadratureError` of a row that does not converge.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     n, b = a.size, np.maximum(a, b)
@@ -268,7 +267,7 @@ def quad_cut(f, a, b, points: Sequence[float] = (), power=None, where=lambda i: 
             return h(i, r * u**k) * (k * r * u ** (k - 1.0))
 
     val = quad_complex(g, lo, hi, lo.size, lambda i: where(row[i])).reshape(n, -1)
-    out = np.zeros(n, dtype=complex) + start
+    out = np.zeros(n, dtype=complex)
     for piece in val.T:
         out += piece
     if tail.any():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from importlib import resources
@@ -136,6 +137,13 @@ def report_schema() -> dict:
 
 def validate_report(doc: dict) -> None:
     """Raise ``jsonschema.ValidationError`` when a report is malformed."""
-    import jsonschema
+    _report_validator().validate(doc)
 
-    jsonschema.validate(doc, report_schema())
+
+@functools.cache
+def _report_validator():
+    """The schema's validator, checked against its meta-schema once."""
+    from jsonschema.validators import validator_for
+    cls = validator_for(schema := report_schema())
+    cls.check_schema(schema)
+    return cls(schema)

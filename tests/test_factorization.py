@@ -291,5 +291,9 @@ def test_report_serialization_and_schema():
 def test_report_schema_rejects_missing_fields():
     import jsonschema
 
+    # the validator is built on the first report and kept for the next ones
+    validate_report(verify_lemma1e(gaussian(1.0), 1.0).to_dict())
     with pytest.raises(jsonschema.ValidationError):
         validate_report({"identity": "x", "pass": True})
+    with pytest.raises(jsonschema.ValidationError):
+        validate_report({**verify_lemma1e(gaussian(1.0), 1.0).to_dict(), "pass": "yes"})
