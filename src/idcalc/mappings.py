@@ -43,7 +43,7 @@ from .core import (
     power_segment,
 )
 from .errors import DomainError, ValidationError
-from .quadrature import ROW_CAP, quad_complex
+from .quadrature import ROW_CAP, power_at_origin, quad_complex, quad_cut
 
 __all__ = [
     "check_beta",
@@ -58,9 +58,6 @@ __all__ = [
     "smear_triplet",
 ]
 
-# lower split point for the weighted integrals of i_map / i_of_j_beta;
-# below it the exponent is replaced by its two-term expansion at 0
-SMALL_U_SPLIT = 1e-6
 # finite-difference step of j_beta_inverse
 FD_STEP = 1e-5
 
@@ -175,21 +172,22 @@ def _evaluate(src, rows: np.ndarray) -> np.ndarray:
     return np.concatenate([src(rows[i : i + ROW_CAP]) for i in range(0, len(rows), ROW_CAP)])
 
 
-def radial_map(mu: IdMeasure, weight, power: float = 1.0, lo: float = 0.0, head=None):
-    """Batched exponent ``y -> int_lo^1 w(t) phi(t**power y) dt``.
+def radial_map(mu: IdMeasure, weight, power: float = 1.0):
+    """Batched exponent ``y -> int_0^1 w(t) phi(t**power y) dt``.
 
     ``weight`` maps an array of ``t`` to ``w(t)`` (``None`` for 1); the
     substitution ``u = t**power`` keeps an endpoint singularity of the
-    weight out of the integrand.  With ``lo > 0`` the part below ``lo``
-    comes from the two-term expansion ``phi(u y) ~ C1 u + C2 u^2`` fitted
-    at ``lo`` and ``lo/2``; ``head = (m1, m2)`` are the weight's moments
-    ``int_0^lo w(u) u du / lo`` and ``int_0^lo w(u) u^2 du / lo^2``.
-
-    The integral is :func:`idcalc.quadrature.quad_complex`, the batched
-    21-point Gauss-Kronrod refinement that also integrates the density
-    segments of :func:`idcalc.core.char_exponent`.
+    weight out of the integrand.  With a weight bounded at 0 the integrand
+    is bounded, as ``phi(0) = 0``, and one
+    :func:`idcalc.quadrature.quad_complex` call integrates it.  Against a
+    weight that blows up there (``1/u``), a stable-like ``phi`` leaves an
+    integrand ``~ u**q``, ``-1 < q < 0``: :func:`idcalc.quadrature.quad_cut`
+    reads ``q`` off it and substitutes, as for a density from radius 0.
     """
     src = mu.exponent
+    unbounded = weight is not None and power_at_origin(
+        lambda rows, t: weight(t), np.zeros(1, dtype=int), np.ones(1)
+    )[0] < 0.0
 
     def phi(Y):
         def integrand(rows, t):
@@ -198,15 +196,10 @@ def radial_map(mu: IdMeasure, weight, power: float = 1.0, lo: float = 0.0, head=
             f = src(x.reshape(-1, Y.shape[1])).reshape(t.shape)
             return f if weight is None else f * weight(t)
 
-        out = quad_complex(
-            integrand, lo, 1.0, len(Y), lambda i: f" of the radial transform at y={Y[i].tolist()}"
-        )
-        if head is not None:
-            # two-term fit phi(u y) ~ C1 u + C2 u^2 on (0, lo) from phi at lo, lo/2
-            near = _evaluate(src, np.concatenate([lo * Y, 0.5 * lo * Y]))
-            A, B = near[: len(Y)], near[len(Y) :]
-            out += head[0] * (4.0 * B - A) + head[1] * (2.0 * A - 4.0 * B)
-        return out
+        where = lambda i: f" of the radial transform at y={Y[i].tolist()}"
+        if unbounded:
+            return quad_cut(integrand, np.zeros(len(Y)), 1.0, where=where)
+        return quad_complex(integrand, 0.0, 1.0, len(Y), where)
 
     return batched_exponent(phi)
 
@@ -291,16 +284,16 @@ def _require_log_moment(mu: IdMeasure, assume_id_log: bool, what: str) -> None:
 def i_map(mu: IdMeasure, assume_id_log: bool = False) -> IdMeasure:
     """Selfdecomposability mapping: exponential kernel over (0, inf).
 
-    Exponent: integral over u in (0, 1] of ``phi(u y)/u``, split at
-    ``SMALL_U_SPLIT``; below the split the integrand is integrated through
-    the two-term expansion of ``phi`` at the origin.
+    Exponent: integral over u in (0, 1] of ``phi(u y)/u``, from 0, with
+    the substitution of :func:`radial_map` where the integrand blows up
+    there.
 
     Requires a finite log moment unless overridden.
     """
     _require_log_moment(mu, assume_id_log, "i_map")
     return IdMeasure(
         dim=mu.dim,
-        exponent=radial_map(mu, lambda u: 1.0 / u, lo=SMALL_U_SPLIT, head=(1.0, 0.5)),
+        exponent=radial_map(mu, lambda u: 1.0 / u),
         label=f"imap({mu.label})",
     )
 
@@ -314,11 +307,9 @@ def i_of_j_beta(mu: IdMeasure, beta: float, assume_id_log: bool = False) -> IdMe
     """
     b = check_beta(beta)
     _require_log_moment(mu, assume_id_log, "i_of_j_beta")
-    delta = SMALL_U_SPLIT
-    head = (1.0 - delta**b / (b + 1.0), 0.5 - delta**b / (b + 2.0))
     return IdMeasure(
         dim=mu.dim,
-        exponent=radial_map(mu, lambda u: 1.0 / u - u ** (b - 1.0), lo=delta, head=head),
+        exponent=radial_map(mu, lambda u: 1.0 / u - u ** (b - 1.0)),
         label=f"i-of-jbeta[{b:g}]({mu.label})",
     )
 

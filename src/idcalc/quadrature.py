@@ -4,13 +4,16 @@
 Gauss-Kronrod rule with its error heuristic (:func:`gk21`; Piessens et
 al., QUADPACK, 1983), applied to the panels of a whole batch of rows at
 once, each row bisecting on its own until its real and imaginary part
-each meet ``max(1e-14, 1e-10 |part|)``.  The radial transform of
-``mappings`` calls it; every integral over radii goes through
+each meet ``max(1e-14, 1e-10 |part|)``.  A radial transform of
+``mappings`` whose weight is bounded at 0 has a bounded integrand and
+calls it alone.  Every other integral over radii goes through
 :func:`quad_cut`, which cuts rows at break points, substitutes pieces
 from 0 and stages unbounded tails on growing cutoffs, so that a tail that
 does not settle is reported instead of silently trusted.
 :func:`quad_real` is its real entry point, and :func:`tail_quad` and
-:func:`head_quad` flag non-convergence on ``(a, inf)`` and ``(0, b)``.
+:func:`head_quad` flag non-convergence on ``(a, inf)`` and ``(0, b)``;
+the package calls only these two, and the benchmark's tracer
+(``bench/tracing.py``) wraps all three by name.
 """
 
 from __future__ import annotations
@@ -222,9 +225,10 @@ def _staged_quad(f, n: int, lo: np.ndarray, where=lambda i: ""):
 
 def power_at_origin(f, rows: np.ndarray, r0: np.ndarray) -> np.ndarray:
     """Power ``q`` of ``f(rows, r) ~ C r**q`` at 0 per row, read off ``f``
-    at ``r0 2**-40`` and ``r0 2**-39`` (NaN where it is not finite)."""
+    at ``r0 2**-100`` and ``r0 2**-99`` (NaN where it is not finite), so
+    deep that a next term ``r**(q+1/2)`` biases it by about 1e-15."""
     with np.errstate(all="ignore"):  # f may not be finite at 0
-        v = np.abs(f(rows, r0[:, None] * np.array([2.0**-40, 2.0**-39])))
+        v = np.abs(f(rows, r0[:, None] * np.array([2.0**-100, 2.0**-99])))
         return np.log2(v[:, 1] / v[:, 0])
 
 

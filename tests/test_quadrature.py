@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from idcalc.errors import QuadratureError
-from idcalc.quadrature import head_quad, quad_complex, quad_real, tail_quad
+from idcalc.quadrature import head_quad, power_at_origin, quad_complex, quad_real, tail_quad
 
 
 def test_quad_real_polynomial():
@@ -69,3 +69,11 @@ def test_quad_real_on_arrays_of_intervals_matches_one_call_each():
     assert got.shape == (4,)
     assert got == pytest.approx(want, abs=1e-12)
     assert got[0] == pytest.approx(2.0 + 0.3 + 1.4, abs=1e-10)
+
+
+def test_power_at_origin_sees_past_a_next_term():
+    # r**-0.5 plus a drift: the next term r**0.5 times larger must not bias
+    # the read, or the substituted integrand keeps a power to bisect down to
+    f = lambda rows, r: 3.0 * r**-0.5 + 1.0
+    q = power_at_origin(f, np.arange(2), np.array([1.0, 50.0]))
+    assert np.all(np.abs(q + 0.5) <= 1e-12)

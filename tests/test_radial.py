@@ -21,8 +21,10 @@ from idcalc import (
     i_of_j_beta,
     j_beta,
     j_beta_inverse,
+    measure_from_spec,
     poisson,
     radial_map,
+    verify_identity,
 )
 from idcalc.quadrature import ABS_TOL, REL_TOL
 
@@ -114,6 +116,75 @@ def test_nonintegrable_integrand_raises_with_errors():
     err = info.value
     assert err.achieved is not None and err.requested is not None
     assert err.achieved > err.requested > 0
+
+
+# exponents whose i_map integrand phi(u y)/u ~ u**(alpha-1) blows up at u = 0
+ALPHAS = (0.3, 0.5, 1.5, 1.9)
+STABLE_Y = np.array([-50.0, -5.0, -1.0, -0.1, 0.1, 1.0, 5.0, 50.0]).reshape(-1, 1)
+# an atom (r 0.5, w 1) and the one-sided 1/2-stable density r^-1.5 on (0, inf)
+HALF_STABLE_SPEC = {
+    "dim": 1, "shift": [0.0], "cov": [[0.0]],
+    "spectral": {"rays": [{"direction": [1.0], "atoms": [{"r": 0.5, "w": 1.0}],
+                           "densities": [{"lo": 0, "hi": "inf", "kind": "power",
+                                          "coef": 1.0, "exponent": -1.5}]}]},
+}
+
+
+def symmetric_stable(alpha):
+    """The exponent ``-|y|**alpha`` (Sato 1999, section 14)."""
+    fn = batched_exponent(lambda Y: -np.abs(Y[:, 0]) ** alpha + 0j)
+    return IdMeasure.from_exponent(1, fn, log_moment_known=True)
+
+
+def assert_rel(got, want, tol=1e-10):
+    assert np.all(np.abs(got - want) <= tol * np.abs(want)), np.max(np.abs(got / want - 1))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_imap_of_symmetric_stable(alpha):
+    # I(phi)(y) = int_0^1 -|u y|^alpha du/u = -|y|^alpha/alpha
+    got = i_map(symmetric_stable(alpha)).exponent(STABLE_Y)
+    assert_rel(got, -np.abs(STABLE_Y[:, 0]) ** alpha / alpha)
+
+
+@pytest.mark.parametrize("beta", BETAS)
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_i_of_j_beta_of_symmetric_stable(alpha, beta):
+    # weight u^-1 - u^(beta-1): -|y|^alpha (1/alpha - 1/(alpha+beta))
+    got = i_of_j_beta(symmetric_stable(alpha), beta).exponent(STABLE_Y)
+    assert_rel(got, -np.abs(STABLE_Y[:, 0]) ** alpha * (1.0 / alpha - 1.0 / (alpha + beta)))
+
+
+def test_imap_of_log_exponent_is_dilogarithm():
+    # int_0^1 -log(1 + u|y|) du/u = Li2(-|y|), and Li2(z) = spence(1 - z)
+    fn = batched_exponent(lambda Y: -np.log1p(np.abs(Y[:, 0])) + 0j)
+    mu = IdMeasure.from_exponent(1, fn, log_moment_known=True)
+    got = i_map(mu).exponent(STABLE_Y)
+    assert_rel(got, spence(1.0 + np.abs(STABLE_Y[:, 0])))
+
+
+def test_imap_of_half_stable_spec():
+    mp = pytest.importorskip("mpmath")
+    mu = measure_from_spec(HALF_STABLE_SPEC)
+    got = i_map(mu, assume_id_log=True).exponent(STABLE_Y)
+    for y, z in zip(STABLE_Y[:, 0], got):
+        # the density's exponent Gamma(-1/2)(-iy)^(1/2) - 2iy is homogeneous
+        # of degree 1/2 past its compensator; the atom's by mpmath quadrature
+        stable = mp.gamma(-0.5) * mp.sqrt(-1j * y) / 0.5 - 2j * y
+        atom = mp.quad(lambda u: (mp.expj(u * y / 2) - 1 - 0.5j * u * y) / u, [0, 1])
+        want = complex(stable + atom)
+        assert abs(z - want) <= 1e-10 * abs(want), (y, z, want)
+
+
+@pytest.mark.parametrize("beta", BETAS)
+@pytest.mark.parametrize("seed", ("half-stable-spec", 0.3, 0.5))
+def test_prop2_on_stable_like_measures(seed, beta):
+    if seed == "half-stable-spec":
+        mu = measure_from_spec(HALF_STABLE_SPEC)
+    else:
+        mu = symmetric_stable(seed)
+    (report,) = verify_identity("prop2", mu, beta=beta, mc_n=0)
+    assert report.passed, report
 
 
 def test_row_cap_bounds_every_source_call():
