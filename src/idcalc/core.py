@@ -48,7 +48,6 @@ __all__ = [
     "LevyTriplet",
     "IdMeasure",
     "batched_exponent",
-    "as_batched",
     "SpectralCheck",
     "LogMoment",
     "char_exponent",
@@ -142,6 +141,8 @@ class DensitySegment:
             )
         if self.log_tail not in (None, "finite", "divergent"):
             raise ValidationError(f"unknown log_tail hint {self.log_tail!r}")
+        if self.exponent is not None and not math.isfinite(self.exponent):
+            raise ValidationError(f"density exponent must be finite, got {self.exponent}")
 
 
 def power_segment(coef: float, exponent: float, lo: float, hi: float) -> DensitySegment:
@@ -366,10 +367,6 @@ class SpectralMeasure:
         return out
 
 
-def empty_spectral() -> SpectralMeasure:
-    return SpectralMeasure(())
-
-
 # ---------------------------------------------------------------------------
 # validation and log-moment checks
 # ---------------------------------------------------------------------------
@@ -436,7 +433,7 @@ def validate_spectral(M: SpectralMeasure) -> SpectralCheck:
                 # interior segment: only needs plain integrability
                 try:
                     _segment_mass(seg, np.array([seg.lo]), np.array([seg.hi]))
-                except Exception:
+                except QuadratureError:
                     violations.append(f"ray {i} density {j}: mass integral failed")
     return SpectralCheck(ok=not violations, violations=tuple(violations))
 
@@ -485,7 +482,7 @@ class LevyTriplet:
 
     a: np.ndarray
     S: np.ndarray
-    M: SpectralMeasure = field(default_factory=empty_spectral)
+    M: SpectralMeasure = field(default_factory=SpectralMeasure)
 
     def __post_init__(self):
         a = _as_vector(self.a)
@@ -578,8 +575,7 @@ def char_exponent(triplet: LevyTriplet, y):
         jump = lambda i, r: _atom_terms(r, c[i, None])
         for seg in ray.densities:
             if seg.kind in ("power", "exp"):
-                for i in range(0, c.size, ROW_CAP):  # a fixed working set, as quadrature has
-                    val[rows[i : i + ROW_CAP]] += _density_exponent(seg, c[i : i + ROW_CAP])
+                val[rows] += _density_exponent(seg, c)
                 continue
             where = f" of ray {k}'s {seg.kind} density on ({seg.lo:g}, {seg.hi:g}) at y="
             val[rows] += _segment_integral(seg, np.zeros(c.size), math.inf, jump,
@@ -721,56 +717,40 @@ def _density_exponent(seg: DensitySegment, c: np.ndarray) -> np.ndarray:
 
 def batched_exponent(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
     """Exponent evaluator from ``fn``, which maps ``Y (n, dim)`` to ``(n,)``
-    complex values.
+    complex values: the package's one exponent contract.
 
-    The evaluator also takes one ``(dim,)`` vector and returns a complex.
-    It is marked as batched, so :func:`as_batched` passes it through.
+    The evaluator also takes one ``(dim,)`` vector and returns a complex,
+    and hands ``fn`` at most ``ROW_CAP`` rows per call, so that nested
+    transforms keep a fixed working set.
     """
 
     def exponent(y):
         Y = np.asarray(y, dtype=float)
         if Y.ndim == 1:
             return complex(fn(Y[None, :])[0])
-        return fn(Y)
+        if len(Y) <= ROW_CAP:
+            return fn(Y)
+        return np.concatenate([fn(Y[i : i + ROW_CAP]) for i in range(0, len(Y), ROW_CAP)])
 
-    exponent.batched = True
     return exponent
-
-
-def as_batched(fn: Callable) -> Callable:
-    """``fn`` under the batched exponent contract.
-
-    Evaluators made by :func:`batched_exponent` (also behind wrappers that
-    set ``__wrapped__``) are returned as they are; any other callable is
-    taken to map one ``(dim,)`` vector to a complex and is lifted with a
-    loop over the rows.
-    """
-    inner = fn
-    while not getattr(inner, "batched", False):
-        inner = getattr(inner, "__wrapped__", None)
-        if inner is None:
-            return batched_exponent(
-                lambda Y: np.array([complex(fn(y)) for y in Y], dtype=complex)
-            )
-    return fn
 
 
 @dataclass(frozen=True)
 class IdMeasure:
     """An infinitely divisible law: dimension, exponent, optional triplet.
 
-    ``exponent`` follows the batched contract: a batch ``Y (n, dim)``
-    gives ``(n,)`` complex values, one ``(dim,)`` vector gives a complex.
-    When a triplet is given the evaluator defaults to
+    ``exponent`` is an evaluator made by :func:`batched_exponent`: a batch
+    ``Y (n, dim)`` gives ``(n,)`` complex values, one ``(dim,)`` vector
+    gives a complex.  When a triplet is given the evaluator defaults to
     :func:`char_exponent` on that triplet, but constructors may install a
     cheaper closed form; agreement of the two is part of the test suite,
     not of construction.
 
     The constructor trusts its exponent to follow the contract and to
     vanish at 0, as the package's transforms do by construction.
-    :meth:`from_exponent` and :meth:`from_triplet` take a caller's
-    exponent, lift a one-vector callable with a row loop and check that
-    it vanishes at 0.
+    :meth:`from_exponent` and :meth:`from_triplet` take a caller's batched
+    callable, wrap it with :func:`batched_exponent` and check that it maps
+    ``np.zeros((1, dim))`` to one value that vanishes.
     """
 
     dim: int
@@ -784,45 +764,38 @@ class IdMeasure:
             raise ValidationError(f"dimension must be >= 1, got {self.dim}")
 
     def _vanishing(self) -> "IdMeasure":
-        """``self`` after checking that a caller's exponent vanishes at 0."""
-        z = self.exponent(np.zeros(self.dim))
-        if abs(z) > 1e-9:
-            raise ValidationError(f"exponent does not vanish at 0: {z}")
+        """``self`` after checking that a caller's exponent maps the batch
+        ``np.zeros((1, dim))`` to one value that vanishes."""
+        try:  # a one-vector callable fails on a batch, or maps it to a scalar
+            z = self.exponent(np.zeros((1, self.dim)))
+            if np.shape(z) != (1,):
+                raise ValueError(f"got shape {np.shape(z)}")
+        except (TypeError, ValueError, IndexError) as e:
+            raise ValidationError(f"exponent must map rows (n, {self.dim}) to (n,): {e}") from e
+        if abs(z[0]) > 1e-9:
+            raise ValidationError(f"exponent does not vanish at 0: {z[0]}")
         return self
 
     @staticmethod
     def from_triplet(
         triplet: LevyTriplet,
-        exponent: Optional[Callable[[np.ndarray], complex]] = None,
+        exponent: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         log_moment_known: Optional[bool] = None,
         label: str = "measure",
     ) -> "IdMeasure":
-        if exponent is None:
-            fn = batched_exponent(lambda Y, t=triplet: char_exponent(t, Y))
-        else:
-            fn = as_batched(exponent)
-        mu = IdMeasure(
-            dim=triplet.dim,
-            exponent=fn,
-            triplet=triplet,
-            log_moment_known=log_moment_known,
-            label=label,
-        )
+        fn = (lambda Y, t=triplet: char_exponent(t, Y)) if exponent is None else exponent
+        mu = IdMeasure(triplet.dim, batched_exponent(fn), triplet, log_moment_known, label)
         return mu if exponent is None else mu._vanishing()
 
     @staticmethod
     def from_exponent(
         dim: int,
-        exponent: Callable[[np.ndarray], complex],
+        exponent: Callable[[np.ndarray], np.ndarray],
         log_moment_known: Optional[bool] = None,
         label: str = "measure",
     ) -> "IdMeasure":
-        return IdMeasure(
-            dim=dim,
-            exponent=as_batched(exponent),
-            log_moment_known=log_moment_known,
-            label=label,
-        )._vanishing()
+        mu = IdMeasure(dim, batched_exponent(exponent), None, log_moment_known, label)
+        return mu._vanishing()
 
     def phi(self, y) -> complex:
         """Exponent at ``y`` (scalars accepted in dimension 1)."""

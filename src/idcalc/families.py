@@ -35,7 +35,6 @@ from .core import (
     RadialAtom,
     RadialComponent,
     SpectralMeasure,
-    batched_exponent,
     exp_segment,
     power_segment,
 )
@@ -58,7 +57,6 @@ def gaussian(var: float = 1.0, dim: int = 1, cov=None, shift=None) -> IdMeasure:
     a = np.zeros(dim) if shift is None else np.asarray(shift, dtype=float)
     triplet = LevyTriplet(a, S)
 
-    @batched_exponent
     def phi(Y, a=a, S=S):
         return -0.5 * ((Y @ S) * Y).sum(axis=1) + 1j * (Y @ a)
 
@@ -73,7 +71,7 @@ def dirac(shift) -> IdMeasure:
     triplet = LevyTriplet(a, np.zeros((a.size, a.size)))
     return IdMeasure.from_triplet(
         triplet,
-        exponent=batched_exponent(lambda Y: 1j * (Y @ a)),
+        exponent=lambda Y: 1j * (Y @ a),
         log_moment_known=True,
         label=f"dirac({np.array2string(a, precision=4)})",
     )
@@ -93,7 +91,6 @@ def poisson(rate: float = 1.0, jump=2.0) -> IdMeasure:
     a = rate * x0 if r <= 1.0 else np.zeros_like(x0)
     triplet = LevyTriplet(a, np.zeros((x0.size, x0.size)), M)
 
-    @batched_exponent
     def phi(Y, lam=rate, x0=x0):
         t = Y @ x0
         return lam * ((np.cos(t) - 1.0) + 1j * np.sin(t))
@@ -120,7 +117,6 @@ def gamma(shape: float = 1.0, rate: float = 1.0) -> IdMeasure:
     a = np.array([shape * (1.0 - math.exp(-rate)) / rate])
     triplet = LevyTriplet(a, np.zeros((1, 1)), M)
 
-    @batched_exponent
     def phi(Y, k=shape, lam=rate):
         # principal log is safe: Re(1 - i y/lam) = 1 > 0
         return -k * np.log(1.0 - 1j * Y[:, 0] / lam)
@@ -136,25 +132,48 @@ def gamma(shape: float = 1.0, rate: float = 1.0) -> IdMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _segment_from_spec(d: dict):
-    kind = d.get("kind", "power")
-    lo = float(d.get("lo", 0.0))
-    hi = float(d["hi"]) if d.get("hi") not in (None, "inf") else math.inf
-    if kind == "power":
-        return power_segment(float(d["coef"]), float(d["exponent"]), lo, hi)
+_array = lambda v: np.asarray(v, dtype=float)
+
+
+def _field(d, key: str, where: str, default=None, cast=float):
+    """``cast(d[key])``, or ``default`` when absent; a missing required field
+    or a value of the wrong type raises a :class:`ValidationError` that
+    names ``where`` and the field."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {d!r}")
+    if key not in d and default is None:
+        raise ValidationError(f"{where} needs the field {key!r}")
+    try:
+        return cast(d[key]) if key in d else default
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where}: field {key!r} has the wrong type: {d[key]!r}") from None
+
+
+def _segment_from_spec(d, where: str):
+    kind = _field(d, "kind", where, "power", str)
+    if kind not in ("power", "exp"):
+        raise ValidationError(f"{where}: unknown density kind {kind!r}")
+    args = [_field(d, "coef", where), _field(d, "exponent", where, 0.0 if kind == "exp" else None)]
     if kind == "exp":
-        return exp_segment(
-            float(d["coef"]), float(d.get("exponent", 0.0)), float(d["rate"]), lo, hi
-        )
-    raise ValidationError(f"unknown density kind {kind!r}")
+        args.append(_field(d, "rate", where))
+    lo = _field(d, "lo", where, 0.0)
+    hi = _field(d, "hi", where, math.inf, lambda v: math.inf if v is None else float(v))
+    try:
+        return (power_segment if kind == "power" else exp_segment)(*args, lo, hi)
+    except ValidationError as e:  # a value the segment rejects
+        raise ValidationError(f"{where}: {e}") from None
 
 
-def _spectral_from_spec(d: dict) -> SpectralMeasure:
+def _spectral_from_spec(d) -> SpectralMeasure:
     rays = []
-    for ray in d.get("rays", []):
-        atoms = tuple(RadialAtom(float(a["r"]), float(a["w"])) for a in ray.get("atoms", []))
-        densities = tuple(_segment_from_spec(s) for s in ray.get("densities", []))
-        rays.append(RadialComponent(np.asarray(ray["direction"], dtype=float), atoms, densities))
+    for i, ray in enumerate(_field(d, "rays", "spectral", [], list)):
+        where = f"ray {i}"
+        atoms = tuple(RadialAtom(*(_field(a, key, f"{where} atom {k}") for key in "rw"))
+                      for k, a in enumerate(_field(ray, "atoms", where, [], list)))
+        densities = tuple(_segment_from_spec(s, f"{where} density {j}")
+                          for j, s in enumerate(_field(ray, "densities", where, [], list)))
+        direction = _field(ray, "direction", where, cast=_array)
+        rays.append(RadialComponent(direction, atoms, densities))
     return SpectralMeasure(tuple(rays))
 
 
@@ -164,26 +183,32 @@ def measure_from_spec(spec: dict, label: Optional[str] = None) -> IdMeasure:
         raise ValidationError("measure spec must be a JSON object")
     family = spec.get("family")
     if family is not None:
+        num = lambda key, default, cast=float: _field(spec, key, f"{family} spec", default, cast)
         if family == "gaussian":
-            return gaussian(var=float(spec.get("var", 1.0)))
+            return gaussian(var=num("var", 1.0))
         if family == "poisson":
-            return poisson(rate=float(spec.get("rate", 1.0)), jump=spec.get("jump", 2.0))
+            return poisson(rate=num("rate", 1.0), jump=num("jump", 2.0, _array))
         if family == "gamma":
-            return gamma(shape=float(spec.get("shape", 1.0)), rate=float(spec.get("rate", 1.0)))
+            return gamma(shape=num("shape", 1.0), rate=num("rate", 1.0))
         raise ValidationError(f"unknown family {family!r}")
     if "dim" not in spec:
         raise ValidationError("measure spec needs 'dim' or 'family'")
-    dim = int(spec["dim"])
-    a = np.asarray(spec.get("shift", np.zeros(dim)), dtype=float)
-    S = np.asarray(spec.get("cov", np.zeros((dim, dim))), dtype=float)
-    M = _spectral_from_spec(spec.get("spectral", {}))
+    dim = _field(spec, "dim", "measure spec", cast=int)
+    if dim < 1:
+        raise ValidationError(f"measure spec: field 'dim' must be >= 1, got {dim}")
+    a = _field(spec, "shift", "measure spec", np.zeros(dim), _array)
+    S = _field(spec, "cov", "measure spec", np.zeros((dim, dim)), _array)
+    M = _spectral_from_spec(_field(spec, "spectral", "measure spec", {}, dict))
     triplet = LevyTriplet(a, S, M)
     return IdMeasure.from_triplet(triplet, label=label or "measure-spec")
 
 
 def load_measure(path) -> IdMeasure:
     """Load a measure spec from a JSON file."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError(f"cannot read measure spec {path}: {e}") from None
     try:
         spec = json.loads(text)
     except json.JSONDecodeError as e:

@@ -43,7 +43,7 @@ from .core import (
     power_segment,
 )
 from .errors import DomainError, ValidationError
-from .quadrature import ROW_CAP, power_at_origin, quad_complex, quad_cut
+from .quadrature import power_at_origin, quad_complex, quad_cut
 
 __all__ = [
     "check_beta",
@@ -165,13 +165,6 @@ def smear_triplet(triplet: LevyTriplet, beta: float) -> LevyTriplet:
 # ---------------------------------------------------------------------------
 
 
-def _evaluate(src, rows: np.ndarray) -> np.ndarray:
-    """``src`` on ``rows (m, dim)``, in calls of at most ``ROW_CAP`` rows."""
-    if len(rows) <= ROW_CAP:
-        return src(rows)
-    return np.concatenate([src(rows[i : i + ROW_CAP]) for i in range(0, len(rows), ROW_CAP)])
-
-
 def radial_map(mu: IdMeasure, weight, power: float = 1.0):
     """Batched exponent ``y -> int_0^1 w(t) phi(t**power y) dt``.
 
@@ -251,7 +244,7 @@ def j_beta_inverse(mu: IdMeasure, beta: float) -> IdMeasure:
 
     def phi(Y):
         rows = (scale[:, None, None] * Y[None, :, :]).reshape(-1, Y.shape[1])
-        g = s[:, None] * _evaluate(src, rows).reshape(4, len(Y))
+        g = s[:, None] * src(rows).reshape(4, len(Y))
         d1 = (g[0] - g[1]) / (2.0 * FD_STEP)
         d2 = (g[2] - g[3]) / FD_STEP
         return (4.0 * d2 - d1) / 3.0

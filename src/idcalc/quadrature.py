@@ -238,8 +238,9 @@ def quad_cut(f, a, b, points: Sequence[float] = (), power=None, where=lambda i: 
     is cut at the ``points`` inside it, its pieces added in order; the
     finite pieces of all rows are the rows of one :func:`quad_complex`
     call.  A piece ``(0, r0)`` whose integrand is ``~ r**q``, ``-1 < q <
-    0``, is integrated over ``u`` after ``r = r0 u**(1/(q+1))``, which
-    leaves it bounded where bisection could not meet its tolerance;
+    -1e-9``, is integrated over ``u`` after ``r = r0 u**(1/(q+1))``, which
+    leaves it bounded where bisection could not meet its tolerance; a read
+    closer to 0 is the next term's bias on a bounded integrand.
     ``power(rows, r0)`` gives ``q``, by default read off ``f``.  An
     unbounded row's last piece runs from its last cut on growing cutoffs
     (:func:`_staged_quad`).  ``where(i)`` describes row ``i`` in the
@@ -262,7 +263,7 @@ def quad_cut(f, a, b, points: Sequence[float] = (), power=None, where=lambda i: 
         rows, r0 = row[origin], hi[origin]
         q = np.zeros(len(origin)) + (power(rows, r0) if power else power_at_origin(f, rows, r0))
         with np.errstate(all="ignore"):
-            m[origin] = np.where((q > -1.0) & (q < 0.0), 1.0 / (q + 1.0), 1.0)
+            m[origin] = np.where((q > -1.0) & (q < -1e-9), 1.0 / (q + 1.0), 1.0)
     if (m > 1.0).any():
         s, h, hi = np.where(m > 1.0, hi, 1.0), g, np.where(m > 1.0, 1.0, hi)
 

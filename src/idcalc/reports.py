@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import IdMeasure, as_batched
+from .core import IdMeasure
 
 __all__ = [
     "VerificationReport",
@@ -64,8 +64,8 @@ class VerificationReport:
 
 def grid_check(
     identity: str,
-    lhs: Callable[[np.ndarray], complex],
-    rhs: Callable[[np.ndarray], complex],
+    lhs: Callable[[np.ndarray], np.ndarray],
+    rhs: Callable[[np.ndarray], np.ndarray],
     grid: Sequence[np.ndarray],
     tol: float,
     beta: Optional[float] = None,
@@ -73,15 +73,14 @@ def grid_check(
 ) -> VerificationReport:
     """Compare two exponent evaluators pointwise over a grid.
 
-    Each side evaluates the whole grid as one batch; a one-vector
-    evaluator is lifted with a row loop (see :func:`idcalc.core.as_batched`).
-    A side given as an array is taken as its values on the grid.
+    Each side maps the whole grid ``(n, dim)`` to ``(n,)`` values in one
+    call; a side given as an array is taken as its values on the grid.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim == 1:
         grid = grid.reshape(-1, 1)
     lhs_vals, rhs_vals = (
-        side if isinstance(side, np.ndarray) else as_batched(side)(grid) for side in (lhs, rhs)
+        side if isinstance(side, np.ndarray) else side(grid) for side in (lhs, rhs)
     )
     diffs = np.abs(lhs_vals - rhs_vals)
     worst = float(diffs.max(initial=0.0))

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import LevyTriplet, SpectralMeasure, _segment_mass, as_batched
+from .core import LevyTriplet, SpectralMeasure, _segment_mass
 from .errors import ValidationError
 from .mappings import check_beta, sigma_clock
 
@@ -332,9 +332,9 @@ def sample_integral(
     # drift net of the compensator over (eps, 1], and the Gaussian part
     # plus the small-jump correction; jumps above eps are drawn one by one
     M, eps = triplet.M, cfg.small_jump_cutoff
-    det = float(f_left @ dtau) * (triplet.a - M.mean_between(eps))
+    det = math.fsum(f_left * dtau) * (triplet.a - M.mean_between(eps))
     cov = np.asarray(triplet.S, dtype=float) + M.second_moment_below(eps)
-    factor = _psd_factor(float((f_left**2) @ dtau) * cov)
+    factor = _psd_factor(math.fsum(f_left**2 * dtau) * cov)
     jumps = _JumpModel(M, eps)
     # the mesh cell of a jump time u: tau[k] <= u < tau[k+1]
     cells = _Guide(tau) if jumps.rate * tau[-1] > 0 else None
@@ -405,20 +405,22 @@ class CfTestResult:
 
 
 # cf_distance_test: fewer samples are inconclusive; a standard error at or
-# below SE_FLOOR is degenerate; a difference at or below DIFF_FLOOR scores 0
+# below SE_FLOOR is degenerate; a difference at or below DIFF_FLOOR scores 0;
+# a run passes with every z-score below Z_MAX
 N_MIN = 100
+Z_MAX = 4.0
 SE_FLOOR = 1e-13
 DIFF_FLOOR = 1e-12
 
 
 def cf_distance_test(
     est: EcfEstimate,
-    exponent: Callable[[np.ndarray], complex],
+    exponent: Callable[[np.ndarray], np.ndarray],
     det_tol: float = 0.0,
 ) -> CfTestResult:
     """Per-point z-scores of the ecf against ``exp(exponent)``.
 
-    Passes when the largest z is below 4 and fewer than 10% of points
+    Passes when the largest z is below ``Z_MAX`` and fewer than 10% of points
     exceed 2.  A degenerate standard error (deterministic samples)
     leaves no statistical band; such points are judged against
     ``det_tol`` when the caller supplies a discretization allowance,
@@ -426,7 +428,7 @@ def cf_distance_test(
     below ``N_MIN`` are always inconclusive.  The exponent is evaluated
     on the whole grid as one batch.
     """
-    target = np.exp(as_batched(exponent)(est.grid))
+    target = np.exp(exponent(est.grid))
     diff = np.abs(est.values - target)
     z = np.zeros(len(diff))
     degenerate = False
@@ -446,7 +448,7 @@ def cf_distance_test(
     if est.n_samples < N_MIN or degenerate:
         status = "inconclusive"
     else:
-        status = "pass" if (max_z < 4.0 and frac < 0.10) else "fail"
+        status = "pass" if (max_z < Z_MAX and frac < 0.10) else "fail"
     return CfTestResult(status=status, z_scores=z, max_z=max_z, frac_above_2=frac)
 
 

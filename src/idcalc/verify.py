@@ -23,6 +23,7 @@ from .levyarea import AreaParams, verify_levy_area
 from .mappings import corollary1a_kernel, i_map, i_of_j_beta, j_beta
 from .reports import VerificationReport, grid_check
 from .simulate import (
+    Z_MAX,
     KernelIntegralSpec,
     PathConfig,
     cf_distance_test,
@@ -54,6 +55,11 @@ IDENTITIES = (
 )
 
 BETA_SET = (0.5, 1.0, 2.0)
+# pass thresholds on the largest absolute exponent difference
+LEMMA1C_TOL = 1e-8
+LEMMA1D_TOL = 1e-10
+COR1A_TOL = 1e-8
+PROP2_TOL = 1e-8
 
 
 def default_seed_measures() -> dict[str, IdMeasure]:
@@ -102,7 +108,7 @@ def mc_report(
         grid_max_abs=res.max_z if np.isfinite(res.max_z) else float("inf"),
         passed=res.passed,
         beta=beta,
-        tolerance=4.0,
+        tolerance=Z_MAX,
         metric="z_score",
         points=points,
         notes=[f"monte carlo, status={res.status}", *notes],
@@ -167,7 +173,7 @@ def verify_identity(
             rhs = j_beta(j_beta(mu, b2), beta)
             worstr.append(
                 grid_check(
-                    "lemma1c", lhs.exponent, rhs.exponent, grid, 1e-8, beta=beta,
+                    "lemma1c", lhs.exponent, rhs.exponent, grid, LEMMA1C_TOL, beta=beta,
                     notes=[f"second index {b2:g}", f"seed {mu.label}"],
                 )
             )
@@ -179,7 +185,7 @@ def verify_identity(
         rhs = convolve(j_beta(mu, beta), j_beta(mu, beta))
         reports.append(
             grid_check(
-                "lemma1d", lhs.exponent, rhs.exponent, grid, 1e-10, beta=beta,
+                "lemma1d", lhs.exponent, rhs.exponent, grid, LEMMA1D_TOL, beta=beta,
                 notes=["convolution homomorphism", f"seed {mu.label}"],
             )
         )
@@ -188,7 +194,7 @@ def verify_identity(
             rhs = j_beta(conv_power(mu, c), beta)
             reports.append(
                 grid_check(
-                    "lemma1d", lhs.exponent, rhs.exponent, grid, 1e-10, beta=beta,
+                    "lemma1d", lhs.exponent, rhs.exponent, grid, LEMMA1D_TOL, beta=beta,
                     notes=[f"convolution power c={c:g}", f"seed {mu.label}"],
                 )
             )
@@ -205,7 +211,7 @@ def verify_identity(
         rhs = j_beta(j_beta(mu, beta), 2.0 * beta)
         return [
             grid_check(
-                "cor1a", lhs.exponent, rhs.exponent, grid, 1e-8, beta=beta,
+                "cor1a", lhs.exponent, rhs.exponent, grid, COR1A_TOL, beta=beta,
                 notes=[f"seed {mu.label}"],
             )
         ]
@@ -223,7 +229,7 @@ def verify_identity(
         one_shot = i_of_j_beta(mu, beta)
         reports = [
             grid_check(
-                "prop2", two_stage.exponent, one_shot.exponent, grid, 1e-8, beta=beta,
+                "prop2", two_stage.exponent, one_shot.exponent, grid, PROP2_TOL, beta=beta,
                 notes=["two-stage vs clocked quadrature", f"seed {mu.label}"],
             )
         ]

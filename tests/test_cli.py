@@ -99,6 +99,31 @@ def test_unknown_family_exit_code(tmp_path, capsys):
     assert "unknown family" in capsys.readouterr().err
 
 
+def _one_density(**fields):
+    density = {key: v for key, v in {"lo": 0.0, "hi": 1.0, "kind": "power", "coef": 1.0,
+                                     "exponent": -1.5, **fields}.items() if v != "drop"}
+    return {"dim": 1, "spectral": {"rays": [{"direction": [1.0], "densities": [density]}]}}
+
+
+@pytest.mark.parametrize("spec,words", [
+    (_one_density(coef="drop"), ("ray 0 density 0", "'coef'")),
+    (_one_density(coef=None), ("ray 0 density 0", "'coef'")),
+    (_one_density(exponent="nan"), ("ray 0 density 0", "finite")),
+    ({"dim": 1, "spectral": {"rays": [{"atoms": [{"r": 1.0, "w": 1.0}]}]}},
+     ("ray 0", "'direction'")),
+    ({"dim": "x"}, ("'dim'",)),
+    ({"dim": 0}, ("'dim'",)),
+    (None, ("cannot read",)),
+], ids=["no-coef", "null-coef", "nan-exponent", "no-direction", "text-dim", "zero-dim", "no-file"])
+def test_malformed_spec_exits_2(spec, words, tmp_path, capsys):
+    p = tmp_path / "spec.json"
+    if spec is not None:
+        p.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["exponent", "--measure", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert all(w in err for w in words), err
+
+
 def test_verify_lemma1e(measures, tmp_path):
     out = tmp_path / "rep.json"
     code = main(

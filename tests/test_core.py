@@ -144,6 +144,17 @@ def test_validate_tail_mass():
     assert not validate_spectral(M).ok
 
 
+def test_validate_lets_a_density_callables_own_error_through():
+    # only a quadrature that does not converge is a violation
+    def broken(r):
+        raise TypeError("density wants a scalar")
+
+    seg = callable_segment(broken, 0.5, 2.0)
+    M = SpectralMeasure((RadialComponent(np.array([1.0]), densities=(seg,)),))
+    with pytest.raises(TypeError, match="wants a scalar"):
+        validate_spectral(M)
+
+
 # ---------------------------------------------------------------------------
 # log moments
 # ---------------------------------------------------------------------------
@@ -312,8 +323,8 @@ def test_default_grid_shapes():
 
 
 def test_idmeasure_rejects_nonvanishing_exponent():
-    with pytest.raises(ValidationError):
-        IdMeasure.from_exponent(1, lambda y: 1.0 + 0j)
+    with pytest.raises(ValidationError, match="vanish"):
+        IdMeasure.from_exponent(1, lambda Y: np.ones(len(Y), dtype=complex))
 
 
 def test_exponents_safe_under_concurrent_evaluation():

@@ -229,7 +229,7 @@ def test_jbeta_inverse_gaussian_contraction():
 def test_jbeta_inverse_shift_doubles():
     # phi(y) = i c y gives g(s) = i c s^2 y, so the derivative at 1 is 2 i c y
     c = 0.7
-    mu = IdMeasure.from_exponent(1, lambda y: 1j * c * float(y[0]))
+    mu = IdMeasure.from_exponent(1, lambda Y: 1j * c * Y[:, 0])
     out = j_beta_inverse(mu, 1.0)
     for y in GRID:
         assert complex(out.exponent(y)) == pytest.approx(
@@ -259,7 +259,7 @@ def test_imap_fixes_shift():
 
 
 def test_imap_requires_log_moment():
-    mu = IdMeasure.from_exponent(1, lambda y: -abs(float(y[0])))  # no flag, no triplet
+    mu = IdMeasure.from_exponent(1, lambda Y: -np.abs(Y[:, 0]))  # no flag, no triplet
     with pytest.raises(DomainError):
         i_map(mu)
     out = i_map(mu, assume_id_log=True)  # override enabled
@@ -267,7 +267,7 @@ def test_imap_requires_log_moment():
 
 
 def test_imap_rejects_known_infinite_log_moment():
-    mu = IdMeasure.from_exponent(1, lambda y: -abs(float(y[0])), log_moment_known=False)
+    mu = IdMeasure.from_exponent(1, lambda Y: -np.abs(Y[:, 0]), log_moment_known=False)
     with pytest.raises(DomainError):
         i_map(mu)
 

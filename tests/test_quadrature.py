@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from idcalc.errors import QuadratureError
-from idcalc.quadrature import head_quad, power_at_origin, quad_complex, quad_real, tail_quad
+from idcalc.quadrature import head_quad, power_at_origin, quad_complex, quad_cut, quad_real, tail_quad
 
 
 def test_quad_real_polynomial():
@@ -77,3 +77,22 @@ def test_power_at_origin_sees_past_a_next_term():
     f = lambda rows, r: 3.0 * r**-0.5 + 1.0
     q = power_at_origin(f, np.arange(2), np.array([1.0, 50.0]))
     assert np.all(np.abs(q + 0.5) <= 1e-12)
+
+
+def test_quad_cut_substitutes_only_at_a_singularity():
+    # a power read a hair below 0 is the next term's bias on a bounded
+    # integrand: the piece from 0 keeps its plain nodes
+    def nodes(power):
+        seen = []
+
+        def f(rows, r):
+            seen.append(np.array(r))
+            return np.cos(r) + 0j
+
+        quad_cut(f, np.zeros(3), np.array([0.5, 1.0, 2.0]), power=power)
+        return seen
+
+    plain = nodes(lambda rows, r0: 0.0)
+    assert plain
+    for a, b in zip(plain, nodes(lambda rows, r0: -1e-12), strict=True):
+        assert np.array_equal(a, b)

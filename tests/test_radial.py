@@ -188,7 +188,7 @@ def test_prop2_on_stable_like_measures(seed, beta):
 
 
 def test_row_cap_bounds_every_source_call():
-    from idcalc.mappings import ROW_CAP
+    from idcalc.quadrature import ROW_CAP
 
     mu, batches = counted(gamma(1.0, 1.0))
     j_beta(j_beta(mu, 1.0), 2.0).exponent(default_grid(1))
@@ -252,13 +252,16 @@ def test_nested_build_on_a_triplet_runs_no_quadrature(monkeypatch):
     assert mu.log_moment_known is True
 
 
-def test_supplied_exponents_are_checked_and_lifted():
-    with pytest.raises(ValidationError):
-        IdMeasure.from_exponent(1, lambda y: 1.0 + 0j)
-    with pytest.raises(ValidationError):
-        IdMeasure.from_triplet(gamma(1.0, 1.0).triplet, exponent=lambda y: 1.0 + 0j)
-    # a one-vector callable is lifted with a row loop
-    mu = IdMeasure.from_exponent(1, lambda y: -0.5 * float(y[0]) ** 2)
-    grid = default_grid(1)
-    assert np.array_equal(mu.exponent(grid), -0.5 * grid[:, 0] ** 2)
-    assert mu.exponent(np.array([2.0])) == -2.0
+def test_supplied_exponents_are_checked():
+    ones = lambda Y: np.ones(len(Y), dtype=complex)
+    with pytest.raises(ValidationError, match="vanish"):
+        IdMeasure.from_exponent(1, ones)
+    with pytest.raises(ValidationError, match="vanish"):
+        IdMeasure.from_triplet(gamma(1.0, 1.0).triplet, exponent=ones)
+    # a one-vector callable is rejected, whether it fails on a batch or
+    # maps it to a scalar
+    for one_vector in (lambda y: 1j * float(y[0]), lambda y: 0j):
+        with pytest.raises(ValidationError, match="rows"):
+            IdMeasure.from_exponent(1, one_vector)
+        with pytest.raises(ValidationError, match="rows"):
+            IdMeasure.from_triplet(gamma(1.0, 1.0).triplet, exponent=one_vector)

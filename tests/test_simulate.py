@@ -233,7 +233,7 @@ def test_ecf_of_constant_samples_stays_degenerate(value):
     grid = default_grid(1)
     est = ecf(np.full((50_000, 1), value), grid)
     assert np.all(est.std_error <= SE_FLOOR)
-    res = cf_distance_test(est, lambda y: 1.01j * value * float(y[0]))
+    res = cf_distance_test(est, lambda Y: 1.01j * value * Y[:, 0])
     assert res.status == "inconclusive"
 
 
@@ -249,35 +249,35 @@ def _gauss_samples(n, seed=99):
 
 def test_cf_distance_same_law_passes():
     est = ecf(_gauss_samples(100_000), np.array([[0.5], [1.0], [2.0]]))
-    res = cf_distance_test(est, lambda y: -0.5 * float(y[0]) ** 2)
+    res = cf_distance_test(est, lambda Y: -0.5 * Y[:, 0] ** 2)
     assert res.status == "pass"
     assert res.max_z < 4.0
 
 
 def test_cf_distance_wrong_variance_fails():
     est = ecf(_gauss_samples(100_000), np.array([[1.0]]))
-    res = cf_distance_test(est, lambda y: -float(y[0]) ** 2)  # variance 2
+    res = cf_distance_test(est, lambda Y: -Y[:, 0] ** 2)  # variance 2
     assert res.status == "fail"
     assert res.max_z > 10.0
 
 
 def test_cf_distance_small_n_inconclusive():
     est = ecf(_gauss_samples(10), np.array([[1.0]]))
-    res = cf_distance_test(est, lambda y: -0.5 * float(y[0]) ** 2)
+    res = cf_distance_test(est, lambda Y: -0.5 * Y[:, 0] ** 2)
     assert res.status == "inconclusive"
 
 
 def test_cf_distance_degenerate_se_without_band_inconclusive():
     est = ecf(np.full((5000, 1), 0.25), np.array([[1.0]]))
-    res = cf_distance_test(est, lambda y: 0.26j * float(y[0]))
+    res = cf_distance_test(est, lambda Y: 0.26j * Y[:, 0])
     assert res.status == "inconclusive"
 
 
 def test_cf_distance_degenerate_se_with_band():
     est = ecf(np.full((5000, 1), 0.25), np.array([[1.0]]))
-    close = cf_distance_test(est, lambda y: 0.2501j * float(y[0]), det_tol=1e-3)
+    close = cf_distance_test(est, lambda Y: 0.2501j * Y[:, 0], det_tol=1e-3)
     assert close.status == "pass"
-    far = cf_distance_test(est, lambda y: 0.35j * float(y[0]), det_tol=1e-3)
+    far = cf_distance_test(est, lambda Y: 0.35j * Y[:, 0], det_tol=1e-3)
     assert far.status == "fail"
 
 
@@ -446,8 +446,8 @@ def _reference_sample(triplet, spec, cfg, n, seed):
     dtau = np.clip(np.diff(tau), 0.0, None)
     f_left = spec.kernel(s[:-1])
     M, eps = triplet.M, cfg.small_jump_cutoff
-    det = float(f_left @ dtau) * (triplet.a - M.mean_between(eps))
-    factor = _psd_factor(float((f_left**2) @ dtau) * (triplet.S + M.second_moment_below(eps)))
+    det = math.fsum(f_left * dtau) * (triplet.a - M.mean_between(eps))
+    factor = _psd_factor(math.fsum(f_left**2 * dtau) * (triplet.S + M.second_moment_below(eps)))
     comps = _components(M, eps)
     offsets = np.concatenate([[0.0], np.cumsum([c[0] for c in comps])])
     rate = float(sum(c[0] for c in comps))
@@ -499,11 +499,14 @@ def test_draws_do_not_depend_on_the_block_size(name, spec, n, monkeypatch):
 
 
 # six draws at seed 2024, pinned before the sampler became one table:
-# neither family draws from a density segment or chooses between atoms
+# neither family draws from a density segment or chooses between atoms.
+# The mesh sums are exactly rounded (math.fsum), so the draws do not depend
+# on BLAS threads; gaussian-clocked was re-pinned when they became so, its
+# variance 2 ulp lower
 PINNED = {
     ('gaussian', 'jbeta'): [0.8123309507889227, 0.5954864511897293, 0.2699236800496034, -0.5445120791337754, 0.16696133665604385, 0.20402007459175006],
     ('gaussian', 'imap'): [0.9961427946164634, 0.7302313632987651, 0.33100121165719176, -0.6677226611690202, 0.20474085386987528, 0.25018513336751297],
-    ('gaussian', 'clocked'): [0.5751234064769777, 0.42159934443777414, 0.19110367050296886, -0.3855099224215709, 0.11820720679707829, 0.1444444781710445],
+    ('gaussian', 'clocked'): [0.5751234064769776, 0.4215993444377741, 0.19110367050296884, -0.38550992242157084, 0.11820720679707827, 0.1444444781710445],
     ('gaussian', 'cor1a'): [0.5757199725805854, 0.4220366625426579, 0.19130189921495167, -0.38590980555922644, 0.11832982119945369, 0.14459430806591525],
     ('poisson', 'jbeta'): [0.858, 0.0, 0.9740000000000001, 0.0, 0.0, 1.392],
     ('poisson', 'imap'): [1.9868673796800862, 0.9148626600909765, 1.3096139086884169, 0.58640189347653, 5.177998720280768, 3.2643862157709442],
