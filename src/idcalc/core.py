@@ -587,6 +587,7 @@ def char_exponent(triplet: LevyTriplet, y):
 # (|z| + Re z) r <= _REACH (the terms' moduli add up to at most e^_REACH times the
 # sum), through Gamma(q, zr) beyond; the powers _N leave out under 4^34/34! < 4e-18
 _REACH, _N = 4.0, np.arange(34)
+_FACT = np.cumprod(np.r_[1.0, _N[1:]])
 
 
 def _taylor(x) -> np.ndarray:
@@ -610,10 +611,12 @@ def _gamma_upper(s, w):
     """``(g, low)``, ``Gamma(s, w) = g + low Gamma(s)``, for real ``s``, ``Re w
     >= 0``, ``|w| >= 1`` (*Numerical Recipes*, 3rd ed., 5.2, 6.2): Legendre's
     continued fraction (DLMF 8.9.2) by modified Lentz where ``|w| >= s - 1``,
-    else ``g = -w^s e^-w sum_n w^n / (s (s+1) ... (s+n))`` (DLMF 8.7.1)."""
-    s, w = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(w, dtype=complex))
+    else ``g = -w^s e^-w sum_n w^n / (s (s+1) ... (s+n))`` (DLMF 8.7.1).  A
+    call's steps cost the same for one argument as for many."""
+    s0, (s, w) = s, np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(w, dtype=complex))
     low = np.abs(w) < s - 1.0
-    out, idx, q = np.empty(w.shape, dtype=complex), np.flatnonzero(~low), s[~low]
+    out, idx = np.empty(w.shape, dtype=complex), np.flatnonzero(~low)
+    q = s[~low] if np.ndim(s0) else s0  # one s: a scalar recurrence
     b = w[~low] + 1.0 - q
     h = d = 1.0 / np.where(b == 0.0, 1e-300, b)
     c = np.full(idx.size, 1e300, dtype=complex)
@@ -624,9 +627,10 @@ def _gamma_upper(s, w):
         d, c = 1.0 / (b + an * d), b + an / c
         step = c * d
         h = h * step
-        if k % 2 == 0 and (done := np.abs(step - 1.0) <= 4.5e-16).any():
+        if k % 4 == 0 and (done := np.abs(step - 1.0) <= 4.5e-16).any():
             out[idx[done]], live = h[done], ~done
-            idx, q, b, c, d, h = idx[live], q[live], b[live], c[live], d[live], h[live]
+            idx, b, c, d, h = idx[live], b[live], c[live], d[live], h[live]
+            q = q[live] if np.ndim(q) else q
     else:
         raise QuadratureError(f"continued fraction of Gamma(s, w) did not settle at w={w[idx[0]]}")
     q, x = s[low], w[low]
@@ -644,7 +648,7 @@ def _power_exp(q, z, a, b) -> np.ndarray:
     """``int_a^b r^(q-1) e^(-zr) dr`` for rows of ``q``, ``Re z >= 0`` and ``0
     <= a <= b <= inf`` (``b`` finite if ``z = 0``): term by term up to ``r0 =
     _REACH / (|z| + Re z)``, and ``z^-q (Gamma(q, z r0) - Gamma(q, z b))``
-    beyond (principal branch)."""
+    beyond (principal branch): moments, tails and smears."""
     q, z, a, b = np.broadcast_arrays(q, np.atleast_1d(np.asarray(z, dtype=complex)), a, b)
     with np.errstate(divide="ignore"):
         r0 = np.clip(_REACH / (np.abs(z) + z.real), a, b)
@@ -665,48 +669,92 @@ def _power_exp(q, z, a, b) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _moments(s: float, lam: float, a: float, b: float, h: float, k0: int) -> np.ndarray:
-    """``h^k int_a^b r^(s+k-1) e^(-lam r) dr``, ``k0 <= k < 34``, in units of
-    ``l = b`` where ``lam b <= 2``, else ``1 / lam``; kept for later calls."""
-    l, k = (b if math.isfinite(b) and lam * b <= 2.0 else 1.0 / lam), _N[k0:]
-    m = (h * l) ** k * l**s * _power_exp(s + k, lam * l, a / l, b / l).real
-    m.setflags(write=False)
-    return m
+def _piece(s: float, lam: float, a: float, b: float, k0: int) -> tuple:
+    """What the rows of a piece ``(a, b)`` of :func:`_density_exponent` share,
+    kept for later calls: the near cut ``h``; Horner coefficients in ``(c/h)^2``
+    of the moments ``h^k int_a^b r^(s+k-1) e^(-lam r) dr / k!``, ``k >= k0`` (in
+    units of ``l = b`` where ``lam b <= 2``, else ``1 / lam``); ``R`` and the
+    parts of ``int_r0^b r^(q-1) e^(-lam r) dr``, ``q = s, s+1``, free of ``r0``;
+    the far rows' jump series from 0 (its coefficients, for ``power`` its value
+    at ``icr0 = 4i``); and ``Gamma(s, -4i)`` as ``(g, low)`` for ``power``."""
+    fit = math.isfinite(b) and lam * b <= 2.0
+    h, l = (_REACH / b, b) if fit else (lam / (4.0 + max(s, 0.0)), 1.0 / (lam or 1.0))
+    m, k = np.zeros(_N.size), _N[k0:]
+    if h > 0.0:  # a power tail has no near rows
+        m[k0:] = (h * l) ** k * l**s * _power_exp(s + k, lam * l, a / l, b / l).real / _FACT[k0:]
+    m *= (-1.0) ** (_N // 2)  # the sign of i^k, a factor i aside for odd k
+    R, tails, jump = min(max(2.0 / lam, a), b) if lam else b, {}, 1.0 / (_FACT[2:] * (s + _N[2:]))
+    for q in (s, s + 1.0):  # int_R^b, and (-lam)^k (R^(q+k) - r0^(q+k)) / (k! (q+k)) over k
+        ks, p = max(0, round(-q)) if lam else 0, np.zeros(1)
+        if lam and R > a:  # Horner in -lam r0 for k != k*, the k nearest -q
+            p = np.divide(1.0, _FACT * (q + _N), out=np.zeros(_N.size), where=_N != ks)[::-1]
+        tail = _power_exp(q, lam, R, b).real[0] if lam and R < b else 0.0
+        C = tail + (R**q * np.polyval(p, -lam * R) if lam else 0.0)
+        tails[q] = C, p, q + ks, (-lam) ** ks / _FACT[ks]
+    if lam:
+        return h, m[-2::-2], m[::-2], R, tails, (jump[::-1], (jump * _N[2:])[::-1]), (0j, 0.0)
+    g, low = _gamma_upper(s, np.array([-_REACH * 1j]))
+    return h, m[-2::-2], m[::-2], R, tails, (_REACH * 1j) ** _N[2:] @ jump, (g[0], float(low[0]))
 
 
 def _density_exponent(seg: DensitySegment, c: np.ndarray) -> np.ndarray:
     """``int coef r^(s-1) e^(-lam r) (e^(icr) - 1 - icr 1{r <= 1}) dr`` of a
     ``power`` (``lam = 0``) or ``exp`` segment, rows of ``c != 0``, on its
-    pieces inside and beyond radius 1.  Rows with ``|c| <= h`` sum the Taylor
-    series in ``c`` of :func:`_moments`; the others sum the jump term's series
-    up to ``r0 = _REACH / (|c| + 2 lam)``, and ``int r^(s-1) (e^(-zr) - e^(-lam
-    r) - icr e^(-lam r)) dr``, ``z = lam - ic``, beyond, where ``|c| r >= 4/9
-    _REACH`` keeps the three from cancelling."""
-    s, lam = seg.exponent + 1.0, seg.rate or 0.0
-    real = lambda q, a, b: (_power_exp(q, lam, a, b).real if lam > 0.0 else np.log(b / a)
-                            if q == 0.0 else a**q * np.expm1(q * np.log(b / a)) / q)
-    out = np.zeros(c.size, dtype=complex)
-    for a, b, k0 in ((seg.lo, min(seg.hi, UNIT_BALL_RADIUS), 2),
-                     (max(seg.lo, UNIT_BALL_RADIUS), seg.hi, 1)):
-        h = _REACH / b if math.isfinite(b) and lam * b <= 2.0 else lam / (4.0 + max(s, 0.0))
-        near = (np.abs(c) <= (min(h, _REACH / a) if a > 0.0 else h)) & (a < b)
+    pieces inside and beyond radius 1, with the constants of :func:`_piece`.
+    Rows with ``|c| <= h`` sum the Taylor series in ``c`` of the moments as two
+    real Horner sums.  The others sum the jump term's series up to ``r0 =
+    _REACH / (|c| + 2 lam)`` (from 0 by Horner, else by :func:`_series`) less
+    ``int_r0^b r^(s-1) e^(-lam r) (1 + icr 1{r <= 1}) dr`` (by Horner in ``lam
+    r0`` up to ``R = 2 / lam``), where ``|c| r >= 4/9 _REACH`` keeps the three
+    from cancelling.  A row far inside radius 1 is far beyond it from ``r0 =
+    1``, so each far row adds one ``z^-s (Gamma(s, z r0) - Gamma(s, z hi))``,
+    ``z = lam - ic``, from its first ``r0``: all rows in one :func:`_gamma_upper`
+    call, bar a ``power`` row's cached ``z r0 = -+4i``."""
+    s, lam, hi = seg.exponent + 1.0, seg.rate or 0.0, seg.hi
+    out, start = np.zeros(c.size, dtype=complex), np.full(c.size, np.inf)
+    cached = np.zeros(c.size, dtype=bool)
+    for a, b, k0 in ((seg.lo, min(hi, UNIT_BALL_RADIUS), 2),
+                     (max(seg.lo, UNIT_BALL_RADIUS), hi, 1)):
+        if a >= b:
+            continue
+        h, even, odd, R, tails, jump, four = _piece(s, lam, a, b, k0)
+        near = np.abs(c) <= (min(h, _REACH / a) if a > 0.0 else h)
         if near.any():
-            t = _taylor(1j * c[near] / h)[:, k0:]
-            out[near] += (t * _moments(s, lam, a, b, h, k0)).sum(1)
-        i = np.flatnonzero(~near & (a < b))
-        if not i.size:
+            x = c[near] / h
+            out[near] += np.polyval(even, x * x) + 1j * x * np.polyval(odd, x * x)
+        if not (i := np.flatnonzero(~near)).size:
             continue
         ci, r0 = c[i], np.clip(_REACH / (np.abs(c[i]) + 2.0 * lam), a, b)
-        e = _taylor(-lam * r0) if lam else np.eye(1, _N.size)
-        t = _taylor((1j * ci - lam) * r0) - e
-        if k0 == 2:
-            t[:, 1:] -= (1j * ci * r0)[:, None] * e[:, :-1]
-        val = _series(t[:, k0:], s + k0, a, r0) * r0**-k0
-        j = np.flatnonzero(r0 < b)
-        val[j] += _power_exp(s, lam - 1j * ci[j], r0[j], b) - real(s, r0[j], b)
-        if k0 == 2:
-            val[j] -= 1j * ci[j] * real(s + 1.0, r0[j], b)
+        ic, v, L, first = 1j * ci, -lam * r0, np.log(R / r0), np.isinf(start[i])
+        start[i[first]], cached[i[first]] = r0[first], (r0[first] > a) & (lam == 0.0)
+        val = np.zeros(i.size, dtype=complex)
+        for q, f in ((s, 1.0), (s + 1.0, ic))[:k0]:
+            C, p, e, gam = tails[q]  # (R^e - r0^e) / e from its larger end, then the rest
+            d = -R**e * np.expm1(-e * L) if e > 0.0 else r0**e * np.expm1(e * L)
+            val -= f * (C - r0**q * np.polyval(p, v) + gam * (d / e if e else L))
+        if a == 0.0 and lam == 0.0:
+            val += r0**s * np.where(ci > 0, jump, np.conj(jump))
+        elif a == 0.0:
+            x, w, (qc, rc) = (ic - lam) * r0, ic * r0, jump
+            val += r0**s * x * x * np.polyval(qc, x)
+            val -= r0**s * v * (v * np.polyval(qc, v) + w * np.polyval(rc, v))
+        elif (k := np.flatnonzero(a < r0)).size:
+            e = _taylor(v[k]) if lam else np.eye(1, _N.size)
+            t = _taylor((ic[k] - lam) * r0[k]) - e
+            if k0 == 2:
+                t[:, 1:] -= (ic[k] * r0[k])[:, None] * e[:, :-1]
+            val[k] += _series(t[:, k0:], s + k0, a, r0[k]) * r0[k] ** -k0
         out[i] += val
+    if (f := np.flatnonzero(start < np.inf)).size:
+        z, cut, n = lam - 1j * c[f], cached[f], np.count_nonzero(~cached[f])
+        g, low = _gamma_upper(s, np.r_[z[~cut] * start[f[~cut]], z * hi if hi < np.inf else []])
+        up, lows = np.where(c[f] > 0, four[0], np.conj(four[0])), np.full(f.size, four[1])
+        up[~cut], lows[~cut] = g[:n], low[:n]
+        if g.size > n:
+            up, lows = up - g[n:], lows - low[n:]
+        if (k := np.flatnonzero(lows)).size:
+            up[k] += lows[k] * math.gamma(s)
+        out[f] += z**-s * up
     return seg.coef * out
 
 

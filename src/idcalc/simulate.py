@@ -153,10 +153,14 @@ class _Guide:
     def __init__(self, x: np.ndarray):
         nb = 2 * (len(x) - 1)
         self._x0, self._scale = x[0], nb / (x[-1] - x[0])
-        # bucket edges pulled slightly low, so that each bucket starts at or
-        # before the cell of every query in it and the walk only goes forward
-        edges = x[0] + np.arange(nb) / self._scale
-        edges -= 1e-12 * max(abs(x[0]), abs(x[-1]))
+        # each bucket starts at the cell of the least double that the lookup's
+        # own arithmetic puts in it, so the walk only goes forward
+        k = np.arange(nb)
+        edges, at = x[0] + k / self._scale, lambda q: (q - self._x0) * self._scale >= k
+        while not (ok := at(edges)).all():
+            edges[~ok] = np.nextafter(edges[~ok], np.inf)
+        while (down := at(below := np.nextafter(edges, -np.inf))).any():
+            edges[down] = below[down]
         self._start = np.maximum(np.searchsorted(x, edges, "right") - 1, 0)
         self._right = np.append(x[1:], np.inf)
         self._top = int(np.searchsorted(x, x[-1], "left")) - 1

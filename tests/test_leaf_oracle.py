@@ -16,7 +16,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from idcalc import LevyTriplet, QuadratureError, char_exponent, gamma, j_beta, measure_from_spec
+from idcalc import (LevyTriplet, QuadratureError, char_exponent, default_grid, gamma, j_beta,
+                    measure_from_spec)
+from idcalc import core
 from idcalc.core import (
     RadialAtom,
     RadialComponent,
@@ -243,6 +245,77 @@ def gammainc_oracle(p, lam, lo, hi, c):
                 up = mp.gammainc(s, z * r0) - (0 if b == mp.inf else mp.gammainc(s, z * b))
                 total += z**-s * up - real(s, r0, b) - (ic * real(s + 1, r0, b) if k0 == 2 else 0)
         return complex(total)
+
+
+def switch_frequencies(p, lam, lo, hi):
+    """Frequencies where the leaf switches rule on a piece (a, b): |c| at the
+    near/far cut h (4/b, or lam/(4 + max(p+1, 0)) past lam b = 2) and 4/a, and
+    where r0 = 4/(|c| + 2 lam) is clipped to a or reaches b; each with the next
+    double up, the other side of the leaf's comparisons.  Power densities, whose
+    far rows at r0 = 4/|c| take a cached Gamma(s, -+4i), get both signs and the
+    double below as well; exp ones alternate the sign (mpmath is slow there)."""
+    out = []
+    for a, b in ((lo, min(hi, 1.0)), (max(lo, 1.0), hi)):
+        if a >= b:
+            continue
+        fit = math.isfinite(b) and lam * b <= 2.0
+        cuts = [4.0 / b if fit else lam / (4.0 + max(p + 1.0, 0.0))]
+        cuts += [4.0 / a, 4.0 / a - 2.0 * lam] if a > 0 else []
+        cuts += [4.0 / b - 2.0 * lam] if math.isfinite(b) else []
+        for x in (x for x in cuts if x > 0):
+            out += [x, -np.nextafter(x, np.inf)]
+            out += [-x, np.nextafter(x, np.inf), np.nextafter(x, 0), -np.nextafter(x, 0)] if lam == 0 else []
+    return sorted(set(out))
+
+
+# p = -1 and p = -2 make s + n = 0 for n = 0 and n = 1; lam = 0 needs a finite
+# tail mass
+SWITCH_CASES = [(p, lam, lo, hi) for p in (-1.0, -2.0, -2.0 + 1e-9, -2.0 - 1e-9)
+                for lam in (0.0, 0.01, 1.0)
+                for lo, hi in ((0.0, 1.0), (0.0, math.inf), (0.5, 3.0), (2.0, math.inf))
+                if lam or math.isfinite(hi) or p < -1]
+
+
+@pytest.mark.parametrize("p, lam, lo, hi", SWITCH_CASES)
+def test_closed_form_leaf_at_its_switch_points(p, lam, lo, hi):
+    # the sweep below draws log y uniformly and seldom lands on these
+    seg = exp_segment(1.0, p, lam, lo, hi) if lam else power_segment(1.0, p, lo, hi)
+    for y in switch_frequencies(p, lam, lo, hi):
+        try:
+            got = leaf(seg, y)
+        except QuadratureError:
+            continue
+        want = gammainc_oracle(p, lam, lo, hi, y)
+        assert abs(got - want) <= 1e-12 * abs(want), (y, got, want)
+
+
+# spec-cli's exp1d and plane2d specs at seed 7 (bench/workloads.py); POWER1D is below
+EXP1D = {"dim": 1, "shift": [-0.25], "cov": [[0.7623493591159143]], "spectral": {"rays": [
+    {"direction": [1.0], "atoms": [{"r": 0.7, "w": 0.6}], "densities": [
+        {"lo": 0.0, "hi": "inf", "kind": "exp", "coef": 0.6, "exponent": -0.5, "rate": 1.5}]},
+    {"direction": [-1.0], "atoms": [{"r": 1.6, "w": 0.5}]}]}}
+PLANE2D = {"dim": 2, "shift": [0.2, -0.3],
+           "cov": [[0.688228088636939, 0.06778850119862961], [0.06778850119862961, 0.30445961606090804]],
+           "spectral": {"rays": [
+               {"direction": [-0.9996940109277227, -0.024736299546260235],
+                "atoms": [{"r": 0.5, "w": 0.6}, {"r": 1.5, "w": 0.4}],
+                "densities": [{"lo": 0.1, "hi": 1.5, "kind": "power", "coef": 0.6, "exponent": -0.5}]},
+               {"direction": [0.6083202515713982, -0.7936916728353087], "atoms": [{"r": 2.0, "w": 0.5}]}]}}
+
+
+@pytest.mark.parametrize("name", ["power1d", "exp1d", "plane2d"])
+def test_one_gamma_loop_per_density(name, monkeypatch):
+    # each density's far rows, inside and beyond radius 1, share one continued
+    # fraction; the first call fills the per-piece constants, which take their own
+    spec = {"power1d": POWER1D, "exp1d": EXP1D, "plane2d": PLANE2D}[name]
+    triplet = measure_from_spec(spec).triplet
+    line = np.linspace(-300.0, 300.0, 61)[:, None] * np.ones(triplet.dim)
+    Y = np.concatenate([default_grid(triplet.dim), line])
+    char_exponent(triplet, Y)
+    calls, gamma_upper = [], core._gamma_upper
+    monkeypatch.setattr(core, "_gamma_upper", lambda s, w: calls.append(w.size) or gamma_upper(s, w))
+    char_exponent(triplet, Y)
+    assert 0 < len(calls) <= sum(len(ray.densities) for ray in triplet.M.rays)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -372,12 +372,32 @@ def _sorted_meshes(draw):
 @settings(max_examples=200, deadline=None)
 @given(_sorted_meshes())
 def test_guide_matches_binary_search(x):
-    # nodes, just below them, midway between them, x[0] and just below x[-1]
-    inner = x[x < x[-1]]
+    # nodes, just below them, midway between them, x[0] and just below x[-1];
+    # then each bucket's nominal edge and three doubles either side, among
+    # them the least query of each bucket and its predecessor
+    inner, guide = x[x < x[-1]], _Guide(x)
     q = np.concatenate([inner, np.nextafter(inner[inner > x[0]], -np.inf),
                         0.5 * (inner + np.minimum(x[1:len(inner) + 1], x[-1])),
                         [x[0], np.nextafter(x[-1], -np.inf)]])
-    assert np.array_equal(_Guide(x)(q), np.searchsorted(x, q, "right") - 1)
+    edge = x[0] + np.arange(2 * (len(x) - 1)) / guide._scale
+    near = [edge]
+    for direction in (np.inf, -np.inf):
+        step = edge
+        for _ in range(3):
+            step = np.nextafter(step, direction)
+            near.append(step)
+    q = np.concatenate([q, *near])
+    q = q[(q >= x[0]) & (q < x[-1])]
+    assert np.array_equal(guide(q), np.searchsorted(x, q, "right") - 1)
+
+
+def test_guide_walks_rarely_on_a_uniform_mesh():
+    # bucket starts pulled 1e-12 low sent half of these lookups walking
+    x = np.linspace(0.0, 20.0, 20001)
+    guide, q = _Guide(x), _stream(7, 0).uniform(0.0, 20.0, 65536)
+    bucket = np.clip((q - x[0]) * guide._scale, 0, len(guide._start) - 1).astype(np.intp)
+    assert np.mean(guide._right[guide._start[bucket]] <= q) < 0.10
+    assert np.array_equal(guide(q), np.searchsorted(x, q, "right") - 1)
 
 
 @pytest.mark.parametrize("name", sorted(TABLE_MEASURES))
