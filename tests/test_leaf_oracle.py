@@ -264,7 +264,8 @@ def switch_frequencies(p, lam, lo, hi):
         cuts += [4.0 / b - 2.0 * lam] if math.isfinite(b) else []
         for x in (x for x in cuts if x > 0):
             out += [x, -np.nextafter(x, np.inf)]
-            out += [-x, np.nextafter(x, np.inf), np.nextafter(x, 0), -np.nextafter(x, 0)] if lam == 0 else []
+            if lam == 0:
+                out += [-x, np.nextafter(x, np.inf), np.nextafter(x, 0), -np.nextafter(x, 0)]
     return sorted(set(out))
 
 
@@ -295,12 +296,15 @@ EXP1D = {"dim": 1, "shift": [-0.25], "cov": [[0.7623493591159143]], "spectral": 
         {"lo": 0.0, "hi": "inf", "kind": "exp", "coef": 0.6, "exponent": -0.5, "rate": 1.5}]},
     {"direction": [-1.0], "atoms": [{"r": 1.6, "w": 0.5}]}]}}
 PLANE2D = {"dim": 2, "shift": [0.2, -0.3],
-           "cov": [[0.688228088636939, 0.06778850119862961], [0.06778850119862961, 0.30445961606090804]],
+           "cov": [[0.688228088636939, 0.06778850119862961],
+                   [0.06778850119862961, 0.30445961606090804]],
            "spectral": {"rays": [
                {"direction": [-0.9996940109277227, -0.024736299546260235],
                 "atoms": [{"r": 0.5, "w": 0.6}, {"r": 1.5, "w": 0.4}],
-                "densities": [{"lo": 0.1, "hi": 1.5, "kind": "power", "coef": 0.6, "exponent": -0.5}]},
-               {"direction": [0.6083202515713982, -0.7936916728353087], "atoms": [{"r": 2.0, "w": 0.5}]}]}}
+                "densities": [{"lo": 0.1, "hi": 1.5, "kind": "power", "coef": 0.6,
+                               "exponent": -0.5}]},
+               {"direction": [0.6083202515713982, -0.7936916728353087],
+                "atoms": [{"r": 2.0, "w": 0.5}]}]}}
 
 
 @pytest.mark.parametrize("name", ["power1d", "exp1d", "plane2d"])
@@ -313,7 +317,8 @@ def test_one_gamma_loop_per_density(name, monkeypatch):
     Y = np.concatenate([default_grid(triplet.dim), line])
     char_exponent(triplet, Y)
     calls, gamma_upper = [], core._gamma_upper
-    monkeypatch.setattr(core, "_gamma_upper", lambda s, w: calls.append(w.size) or gamma_upper(s, w))
+    monkeypatch.setattr(core, "_gamma_upper",
+                        lambda s, w: calls.append(w.size) or gamma_upper(s, w))
     char_exponent(triplet, Y)
     assert 0 < len(calls) <= sum(len(ray.densities) for ray in triplet.M.rays)
 
