@@ -333,3 +333,28 @@ def test_readme_example_spec_passes(tmp_path, argv):
     out = tmp_path / "rep.json"
     assert main(argv + ["--measure", str(spec), "--out", str(out)]) == 0
     assert read_report(out)["pass"] is True
+
+
+def test_one_process_runs_commands_as_separate_processes_do(measures, tmp_path):
+    # main() parses every call with one parser; a call must not see the
+    # options of the call before it
+    import os
+    import subprocess
+    import sys
+
+    commands = [
+        ["map", "--measure", measures["gauss"], "--mapping", "jbeta", "--beta", "2",
+         "--grid", "1", "2"],
+        ["verify", "--identity", "lemma1e", "--measure", measures["poisson"], "--beta", "0.5",
+         "--mc.n", "0"],
+        ["map", "--measure", measures["gauss"], "--mapping", "cor1a", "--grid", "0.5"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for i, argv in enumerate(commands):
+        here, alone = tmp_path / f"here{i}.json", tmp_path / f"alone{i}.json"
+        assert main([*argv, "--out", str(here)]) == 0
+        run = subprocess.run([sys.executable, "-m", "idcalc.cli", *argv, "--out", str(alone)],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert read_report(here) == read_report(alone)
