@@ -30,7 +30,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from . import rays
 from .errors import QuadratureError, ValidationError
 from .quadrature import ROW_CAP, head_quad, power_at_origin, quad_cut, tail_quad
 
@@ -764,17 +763,14 @@ def _density_exponent(seg: DensitySegment, c: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def batched_exponent(
-    fn: Callable[[np.ndarray], np.ndarray], along: Optional[Callable] = None
-) -> Callable:
+def batched_exponent(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
     """Exponent evaluator from ``fn``, which maps ``Y (n, dim)`` to ``(n,)``
     complex values: the package's one exponent contract.
 
     The evaluator also takes one ``(dim,)`` vector and returns a complex,
     and hands ``fn`` at most ``ROW_CAP`` rows per call, so that nested
-    transforms keep a fixed working set.  ``along``, when given, marks the
-    exponent composite (built on a radial transform) and reads it along
-    rays (:mod:`idcalc.rays`); it is the evaluator's ``along`` attribute.
+    transforms keep a fixed working set.  ``fn`` may be a
+    :class:`idcalc.rays.RayFits`, which answers from fits on rays.
     """
 
     def exponent(y):
@@ -785,7 +781,6 @@ def batched_exponent(
             return fn(Y)
         return np.concatenate([fn(Y[i : i + ROW_CAP]) for i in range(0, len(Y), ROW_CAP)])
 
-    exponent.along = along
     return exponent
 
 
@@ -870,7 +865,9 @@ def _log_moment_flag(mu: IdMeasure) -> Optional[bool]:
 
 
 def convolve(mu: IdMeasure, nu: IdMeasure) -> IdMeasure:
-    """Convolution: exponents add; triplets add componentwise when present."""
+    """Convolution: exponents add, each operand read on the same rows (a
+    composite one answers from its own fits); triplets add componentwise
+    when present."""
     if mu.dim != nu.dim:
         raise ValidationError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
     triplet = None
@@ -889,14 +886,9 @@ def convolve(mu: IdMeasure, nu: IdMeasure) -> IdMeasure:
     else:
         lm = None
     f, g = mu.exponent, nu.exponent
-    ray_f, ray_g = rays.along(f), rays.along(g)
     return IdMeasure(
         dim=mu.dim,
-        exponent=batched_exponent(
-            lambda Y: rays.read(f, Y) + rays.read(g, Y),
-            (lambda *a: ray_f(*a) + ray_g(*a))
-            if rays.composite(f) or rays.composite(g) else None,
-        ),
+        exponent=batched_exponent(lambda Y: f(Y) + g(Y)),
         triplet=triplet,
         log_moment_known=lm,
         label=f"({mu.label} * {nu.label})",
@@ -913,13 +905,9 @@ def conv_power(mu: IdMeasure, c: float) -> IdMeasure:
             c * mu.triplet.a, c * mu.triplet.S, mu.triplet.M.scaled(c)
         )
     f = mu.exponent
-    ray_f = rays.along(f)
     return IdMeasure(
         dim=mu.dim,
-        exponent=batched_exponent(
-            lambda Y: c * rays.read(f, Y),
-            (lambda *a: c * ray_f(*a)) if rays.composite(f) else None,
-        ),
+        exponent=batched_exponent(lambda Y: c * f(Y)),
         triplet=triplet,
         log_moment_known=mu.log_moment_known,
         label=f"{mu.label}^*{c:g}",

@@ -44,7 +44,7 @@ from .core import (
 )
 from . import rays
 from .errors import DomainError, ValidationError
-from .quadrature import GK21_NODES, power_at_origin, quad_complex, quad_cut
+from .quadrature import power_at_origin, quad_complex, quad_cut
 
 __all__ = [
     "check_beta",
@@ -178,32 +178,22 @@ def radial_map(mu: IdMeasure, weight, power: float = 1.0):
     integrand ``~ u**q``, ``-1 < q < 0``: :func:`idcalc.quadrature.quad_cut`
     reads ``q`` off it and substitutes, as for a density from radius 0.
 
-    The integrand reads ``phi`` on the ray of each row, at radii
-    ``u |y|``.  Where ``phi`` is composite and the call's rows times 21
-    nodes outnumber the points of ``phi``'s fits along those rays,
-    :func:`idcalc.rays.sample` has every read of the quadrature go to the
-    fits; a leaf ``phi``, or a smaller call, is read directly.  The result
-    keeps fits of itself (:class:`idcalc.rays.RayFits`) for its own
-    readers.  Nothing is evaluated until the result is called.
+    The result is a :class:`idcalc.rays.RayFits` of this quadrature: it
+    keeps fits of itself on the rays it is read on and answers its
+    readers from them, or directly, by its per-ray rule.  So the integrand
+    just reads ``phi`` at ``u y``, and a composite ``phi`` answers from its
+    own fits.  Nothing is evaluated until the result is called.
     """
     src = mu.exponent
-    src_along = rays.along(src)
     unbounded = weight is not None and power_at_origin(
         lambda rows, t: weight(t), np.zeros(1, dtype=int), np.ones(1)
     )[0] < 0.0
 
     def phi(Y):
-        sampled = rays.sample(src, Y, GK21_NODES.size)
-
         def integrand(rows, t):
             u = t if power == 1.0 else t**power
-            if sampled is None:
-                x = u[:, :, None] * Y[rows][:, None, :]
-                f = src(x.reshape(-1, Y.shape[1])).reshape(t.shape)
-            else:
-                at = lambda i: u.ravel()[i, None] * Y[rows[i // t.shape[1]]]
-                f = src_along(sampled.keys, np.repeat(sampled.ray[rows], t.shape[1]),
-                              (u * sampled.norm[rows, None]).ravel(), at).reshape(t.shape)
+            x = u[:, :, None] * Y[rows][:, None, :]
+            f = src(x.reshape(-1, Y.shape[1])).reshape(t.shape)
             return f if weight is None else f * weight(t)
 
         where = lambda i: f" of the radial transform at y={Y[i].tolist()}"
@@ -211,7 +201,7 @@ def radial_map(mu: IdMeasure, weight, power: float = 1.0):
             return quad_cut(integrand, np.zeros(len(Y)), 1.0, where=where)
         return quad_complex(integrand, 0.0, 1.0, len(Y), where)
 
-    return batched_exponent(phi, rays.RayFits(batched_exponent(phi)).along)
+    return batched_exponent(rays.RayFits(batched_exponent(phi)))
 
 
 # ---------------------------------------------------------------------------
@@ -252,31 +242,23 @@ def j_beta_inverse(mu: IdMeasure, beta: float) -> IdMeasure:
     Recovers ``phi_nu(y)`` as the derivative at s = 1 of
     ``s * phi_mu(s**(1/beta) y)``, by central differences of step
     ``FD_STEP`` with one Richardson extrapolation level; the four points
-    go to ``mu`` as one batch, read from its fits where
-    :func:`idcalc.rays.read` says so.  No triplet is produced.
+    go to ``mu`` as one batch, which a composite ``mu`` answers from its
+    fits.  No triplet is produced.
     """
     b = check_beta(beta)
     src = mu.exponent
-    src_along = rays.along(src)
     s = 1.0 + FD_STEP * np.array([1.0, -1.0, 0.5, -0.5])
     scale = s ** (1.0 / b)
 
-    def derivative(values):
-        g = s[:, None] * values.reshape(4, -1)
+    def phi(Y):
+        g = s[:, None] * src((scale[:, None, None] * Y).reshape(-1, Y.shape[1])).reshape(4, -1)
         d1 = (g[0] - g[1]) / (2.0 * FD_STEP)
         d2 = (g[2] - g[3]) / FD_STEP
         return (4.0 * d2 - d1) / 3.0
 
-    def phi(Y):
-        return derivative(rays.read(src, (scale[:, None, None] * Y).reshape(-1, Y.shape[1])))
-
-    def phi_along(keys, ray, t, points):
-        return derivative(np.stack([src_along(keys, ray, c * t, lambda i, c=c: c * points(i))
-                                    for c in scale]))
-
     return IdMeasure(
         dim=mu.dim,
-        exponent=batched_exponent(phi, phi_along if rays.composite(src) else None),
+        exponent=batched_exponent(phi),
         label=f"jbeta-inv[{b:g}]({mu.label})",
     )
 

@@ -1,36 +1,40 @@
-"""Reading composite exponents along rays from piecewise Chebyshev fits.
+"""Composite exponents read from piecewise Chebyshev fits on rays.
 
-Every transform of the package acts along rays: a radial transform reads
+Every transform of the package acts ray by ray: a radial transform reads
 its source at ``u y``, and ``convolve``, ``conv_power`` and
 ``j_beta_inverse`` read their sources at ``y`` or ``s y``.  A *composite*
 exponent, one built on a radial transform, costs a quadrature per row, so
 a depth-``d`` composition read directly costs about ``(21 P)**d`` leaf
-rows.  Here each radial transform's output keeps fits of itself
-(:class:`RayFits`) along the rays it is read on, and a reader that asks a
-composite exponent for more rows than the fits need reads them instead:
-:func:`sample` makes that choice from the rows alone, and an exponent's
-``along`` attribute answers the reads, through the combinators down to the
-fits.  A leaf exponent (a closed form, ``char_exponent``, or a caller's
-callable) has no ``along`` and is always read directly.
+rows.  So each radial transform's output is a :class:`RayFits`: it keeps
+fits of itself on the rays it is read on and answers each read from
+them or directly, and its readers just call it.  A leaf exponent (a closed
+form, ``char_exponent``, or a caller's callable) is always read directly.
+
+The choice is a commitment per ray.  While no ray is committed, a batch
+no larger than the points of the pieces from 0 to its largest row on
+each side of the first coordinate is read directly.  A ray commits once
+one batch's rows on it outnumber ``RAY_POINTS`` times the pieces they
+miss; from then on each of its missing pieces is fitted when a read first
+falls in it.  A ray whose fit stops on its source's noise is no longer
+committed.
 
 The fits: on the ray of direction ``d``, ``g(t) = phi(t d)`` is fitted as
 ``t p(t)`` (Trefethen, *Approximation Theory and Approximation Practice*,
 2013) on canonical pieces, the head ``(0, 1/8]`` and the dyadic
 ``(2**(k-1), 2**k]``, so that ``p``'s relative accuracy holds down to
-radius 0.  A piece is fitted when a read first falls in it, from the
-exponent at its ``RAY_POINTS`` Chebyshev points, all pending pieces of a
-read in one batch, and accepted when its last ``_TAIL`` coefficients are
-within ``CHOP_TOL`` of its largest value.  Otherwise it bisects, at most
-``RAY_SPLITS`` times and only while that pays (``_PLATEAU``); a head that
-fails hands over to the dyadic pieces below it.  The radii of a piece
-still open then are read directly, as are radii at or below
-``RAY_FLOOR``.
+radius 0.  A piece is fitted from the exponent at its ``RAY_POINTS``
+Chebyshev points, all pending pieces of a read in one batch, and accepted
+when its last ``_TAIL`` coefficients are within ``CHOP_TOL`` of its
+largest value.  Otherwise it bisects, at most ``RAY_SPLITS`` times and
+only while that pays (``_PLATEAU``); a head that fails hands over to the
+dyadic pieces below it.  The radii of a piece still open then are read
+directly, as are radii at or below ``RAY_FLOOR``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -86,79 +90,34 @@ def _piece_ends(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(1.0, j + _K_LO - 1), np.ldexp(1.0, j + _K_LO)
 
 
-class Rays:
-    """The rows of a batch as rays: their rounded unit directions ``keys``
-    (rows that are positive multiples of one frequency share one, even
-    when their directions differ in the last bits), each row's ``ray``
-    and its norm ``norm``.  Zero rows have norm 0 and ray 0.  Past
-    ``RAY_CACHE`` rays the rest of the rows are left unassigned."""
-
-    def __init__(self, Y: np.ndarray):
-        self.norm = np.sqrt((Y * Y).sum(axis=1))
-        live = np.flatnonzero(self.norm > 0.0)
-        # rounded to 13 decimals, as np.round does it; + 0.0 drops -0.0
-        key = np.rint(Y[live] / self.norm[live, None] * 1e13) / 1e13 + 0.0
-        # one ray at a time, in order of first row: a batch holds few, and
-        # a sort would load numpy's sort kernels into the process
-        self.ray = np.zeros(len(Y), dtype=int)
-        norm, open_, keys, top = self.norm[live], np.ones(len(live), dtype=bool), [], []
-        while open_.any() and len(keys) <= RAY_CACHE:
-            i = open_.argmax()
-            same = (key == key[i]).all(axis=1)
-            self.ray[live[same]] = len(keys)
-            keys.append(key[i])
-            top.append(float(norm[same].max()))
-            open_ &= ~same
-        self.keys = np.array(keys).reshape(-1, Y.shape[1])
-        self.pieces = sum(map(_pieces, top))
-
-
-def composite(exponent) -> bool:
-    """Whether ``exponent`` is read along rays: a caller's wrapper that
-    carries no ``along`` is a leaf."""
-    return getattr(exponent, "along", None) is not None
-
-
-def sample(exponent, Y: np.ndarray, reads: int) -> Optional[Rays]:
-    """The rays of ``Y`` when a reader that asks ``exponent`` for ``reads``
-    rows per row of ``Y`` should read its fits: ``exponent`` is composite
-    and the rows it would be asked for outnumber the fits' points, on at
-    most ``RAY_CACHE`` rays.  ``None`` for a direct read."""
-    if not composite(exponent):
-        return None
-    # a bound first: rows whose first coordinates have opposite signs lie
-    # on different rays, so each side's largest row needs its own pieces
-    norm2 = (Y * Y).sum(axis=1)
-    least = sum(_pieces(math.sqrt(norm2[side].max()))
-                for side in (Y[:, 0] > 0.0, Y[:, 0] < 0.0) if side.any())
-    if len(Y) * reads <= RAY_POINTS * least:
-        return None
-    batch = Rays(Y)
-    if not len(batch.keys) or len(batch.keys) > RAY_CACHE:
-        return None
-    return batch if len(Y) * reads > batch.pieces * RAY_POINTS else None
-
-
-def read(exponent, Y: np.ndarray) -> np.ndarray:
-    """``exponent`` at the rows ``Y``, from its fits where :func:`sample`
-    says so."""
-    batch = sample(exponent, Y, 1)
-    if batch is None:
-        return exponent(Y)
-    return exponent.along(batch.keys, batch.ray, batch.norm, lambda i: Y[i])
-
-
-def along(exponent) -> Callable:
-    """``exponent``'s reader along rays; a leaf is read at the points."""
-    if composite(exponent):
-        return exponent.along
-    return lambda keys, ray, t, points: exponent(points(np.arange(len(t))))
+def _rays(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of a batch as rays: their rounded unit directions (rows
+    that are positive multiples of one frequency share one, even when
+    their directions differ in the last bits), each row's ray and its
+    norm.  Zero rows have norm 0 and ray 0.  Past ``RAY_CACHE`` rays the
+    rest of the rows are left unassigned."""
+    norm = np.sqrt((Y * Y).sum(axis=1))
+    live = np.flatnonzero(norm > 0.0)
+    # rounded to 13 decimals, as np.round does it; + 0.0 drops -0.0
+    key = np.rint(Y[live] / norm[live, None] * 1e13) / 1e13 + 0.0
+    # one ray at a time, in order of first row: a batch holds few, and a
+    # sort would load numpy's sort kernels into the process
+    ray = np.zeros(len(Y), dtype=int)
+    open_, keys = np.ones(len(live), dtype=bool), []
+    while open_.any() and len(keys) <= RAY_CACHE:
+        i = open_.argmax()
+        same = (key == key[i]).all(axis=1)
+        ray[live[same]] = len(keys)
+        keys.append(key[i])
+        open_ &= ~same
+    return np.array(keys).reshape(-1, Y.shape[1]), ray, norm
 
 
 class RayFits:
-    """Piecewise Chebyshev fits of one exponent along rays.
+    """An exponent that keeps piecewise Chebyshev fits of itself on
+    rays, and answers each read from them or directly.
 
-    Its :meth:`along` is the exponent's reader.  Each dyadic piece of a ray
+    ``exponent`` is the direct evaluator.  Each dyadic piece of a ray
     points at a slot of ``_CELLS`` cells, and each cell at the accepted
     piece that covers it, or at none (-1), whose radii are read directly.
     The dyadic pieces under the head share its slot while the head holds.
@@ -172,6 +131,7 @@ class RayFits:
     def clear(self, dim: int) -> None:
         self.rays: dict = {}  # key bytes -> ray
         self.dirs = np.zeros((0, dim))
+        self.committed = np.zeros(0, dtype=bool)  # each ray is read from its fits
         self.slots = np.zeros((0, 0), dtype=int)  # (ray, dyadic piece) -> slot, or -1
         self.headless = np.zeros(0, dtype=bool)  # each ray's head failed
         self.cells = np.zeros((0, _CELLS), dtype=np.int32)  # (slot, cell) -> leaf, or -1
@@ -179,36 +139,65 @@ class RayFits:
         self.ends = np.zeros((2, 0))  # each leaf's (lo, hi)
         self.length = np.zeros(0, dtype=int)  # each leaf's terms after the chop
 
-    def along(self, keys: np.ndarray, ray: np.ndarray, t: np.ndarray, points) -> np.ndarray:
-        """The exponent at radii ``t`` on rays ``ray`` of directions
-        ``keys`` (flat arrays): from the fits, or at ``points(i)``, the
-        points of the flat indices ``i``, where no fit covers a radius.
-        The pieces these radii fall in are fitted first where missing."""
+    def __call__(self, Y: np.ndarray) -> np.ndarray:
+        """The exponent at the rows ``Y (n, dim)``: from the fits where
+        they cover a row, after fitting the pieces that committed rays
+        miss; directly elsewhere."""
+        if self.dirs is None or not self.committed.any():
+            # a quadrature's reads span their rays from 0, so they miss
+            # the pieces from 0 to each side's largest row (rows whose
+            # first coordinates have opposite signs lie on different
+            # rays); a batch no larger than their points stays direct
+            side = (Y * Y).sum(axis=1) * np.sign(Y[:, 0])
+            tops = side.max(initial=0.0), -side.min(initial=0.0)
+            least = sum(_pieces(math.sqrt(top)) for top in tops if top > 0.0)
+            if len(Y) <= RAY_POINTS * least:
+                return self.exponent(Y)
+        keys, ray, t = _rays(Y)
+        if len(keys) > RAY_CACHE:
+            return self.exponent(Y)
         if self.dirs is None or self.length.size > _LEAF_CAP or \
                 len(self.rays) + sum(k.tobytes() not in self.rays for k in keys) > RAY_CACHE:
-            self.clear(keys.shape[1])
+            self.clear(Y.shape[1])
         local = np.array([self._ray(k) for k in keys], dtype=int)
-        out = np.zeros(len(t), dtype=complex)
-        leaf = np.full(len(t), -1)
         live = np.flatnonzero(t > RAY_FLOOR)
         r, j = local[ray[live]], _piece(t[live])
-        self._fit(r, j)
+        width = int(j.max(initial=0)) + 1 - self.slots.shape[1]
+        if width > 0:
+            self.slots = np.pad(self.slots, ((0, 0), (0, width)), constant_values=-1)
+        self._commit(r, j)
+        on = self.committed[r]
+        self._fit(r[on], j[on])
         lo, hi = _piece_ends(j)
         cell = np.ceil((t[live] - lo) / (hi - lo) * _CELLS).astype(int) - 1
-        leaf[live] = self.cells[self.slots[r, j], np.clip(cell, 0, _CELLS - 1)]
+        slot = self.slots[r, j]
+        held = np.flatnonzero(slot >= 0)
+        leaf = np.full(len(t), -1)
+        leaf[live[held]] = self.cells[slot[held], np.clip(cell[held], 0, _CELLS - 1)]
+        out = np.zeros(len(t), dtype=complex)
         fit = np.flatnonzero(leaf >= 0)
         if len(fit):
             out[fit] = t[fit] * self._series(leaf[fit], t[fit])
         direct = np.flatnonzero((leaf < 0) & (t > 0.0))
         if len(direct):
-            out[direct] = self.exponent(points(direct))
+            out[direct] = self.exponent(Y[direct])
         return out
+
+    def _commit(self, r: np.ndarray, j: np.ndarray) -> None:
+        """Commit each ray whose rows ``r`` (at dyadic pieces ``j``)
+        outnumber ``RAY_POINTS`` times the pieces they miss; a piece under
+        a live head counts as the head."""
+        miss = np.zeros(self.slots.shape, dtype=bool)
+        miss[r, np.where((j < _HEAD) & ~self.headless[r], 0, j)] = True
+        missing = (miss & (self.slots < 0)).sum(axis=1)
+        self.committed |= np.bincount(r, minlength=len(missing)) > RAY_POINTS * missing
 
     def _ray(self, key: np.ndarray) -> int:
         k = key.tobytes()
         if k not in self.rays:
             self.rays[k] = len(self.rays)
             self.dirs = np.vstack([self.dirs, key / np.sqrt((key * key).sum())])
+            self.committed = np.append(self.committed, False)
             self.slots = np.vstack([self.slots, np.full(self.slots.shape[1], -1)])
             self.headless = np.append(self.headless, False)
         return self.rays[k]
@@ -241,9 +230,6 @@ class RayFits:
         every pending piece of a round from one batched call.  A piece
         under the head is first the head's, and its own only after the
         head of its ray failed."""
-        width = max(self.slots.shape[1], int(j.max(initial=0)) + 1)
-        self.slots = np.pad(self.slots, ((0, 0), (0, width - self.slots.shape[1])),
-                            constant_values=-1)
         # the missing pieces, each once; a mask, not a sort or numpy's
         # unique, whose kernels would each add to the process's memory
         miss = np.zeros(self.slots.shape, dtype=bool)
@@ -281,6 +267,9 @@ class RayFits:
             for s, a, b, leaf in zip(slot[ok], c0[ok], c1[ok], leaves + np.arange(ok.sum())):
                 self.cells[s, a:b] = leaf
             leaves += int(ok.sum())
+            # a piece that stops on its source's noise ends its ray's
+            # commitment: the ray's other pieces would fail the same way
+            self.committed[r[~ok & ~split & (splits > 0) & (ratio < _PLATEAU)]] = False
             # a failed head hands the requested pieces under it to their
             # own fits, and a failed piece with bisections left bisects
             failed = r[~ok & (splits < 0)]
