@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import QuadratureError, ValidationError
-from .quadrature import ROW_CAP, head_quad, power_at_origin, quad_cut, tail_quad
+from .quadrature import ROW_CAP, power_at_origin, quad_cut
 
 UNIT_BALL_RADIUS = 1.0
 
@@ -117,8 +117,10 @@ class DensitySegment:
     density bends where its source support starts); radial integrals
     split there.
 
-    Absent hints, integrability is probed by cutoff refinement and any
-    non-convergent answer is reported as such, never asserted.
+    A hint vouches only for the end it describes: :func:`validate_spectral`
+    integrates min(1, r^2) against a callable density once, over all of
+    its support but a tail declared finite, and reports an integral that
+    does not converge, never asserting divergence.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
@@ -146,40 +148,36 @@ class DensitySegment:
 
 
 def power_segment(coef: float, exponent: float, lo: float, hi: float) -> DensitySegment:
-    """Density ``coef * r**exponent`` on ``(lo, hi)``."""
-    if not (math.isfinite(coef) and coef >= 0):
-        raise ValidationError(f"power coefficient must be >= 0, got {coef}")
-    tail_ok = math.isfinite(hi) or exponent < -1
-    return DensitySegment(
-        fn=lambda r, c=coef, p=exponent: c * r**p,
-        lo=lo,
-        hi=hi,
-        kind="power",
-        coef=coef,
-        exponent=exponent,
-        small_r_power=exponent,
-        tail_mass_finite=tail_ok,
-        log_tail="finite" if tail_ok else "divergent",
-    )
+    """Density ``coef * r**exponent`` on ``(lo, hi)``: :func:`exp_segment`
+    at rate 0."""
+    return _closed_segment(coef, exponent, 0.0, lo, hi)
 
 
 def exp_segment(coef: float, exponent: float, rate: float, lo: float, hi: float) -> DensitySegment:
     """Density ``coef * r**exponent * exp(-rate*r)`` on ``(lo, hi)``."""
-    if not (math.isfinite(coef) and coef >= 0):
-        raise ValidationError(f"coefficient must be >= 0, got {coef}")
     if not (math.isfinite(rate) and rate > 0):
         raise ValidationError(f"rate must be > 0, got {rate}")
+    return _closed_segment(coef, exponent, rate, lo, hi)
+
+
+def _closed_segment(coef, exponent, rate, lo, hi) -> DensitySegment:
+    """The ``exp`` segment, or at rate 0 the ``power`` one; its hints are
+    its parameters."""
+    if not (math.isfinite(coef) and coef >= 0):
+        raise ValidationError(f"coefficient must be >= 0, got {coef}")
+    tail_ok = rate > 0 or math.isfinite(hi) or exponent < -1
     return DensitySegment(
-        fn=lambda r, c=coef, p=exponent, lam=rate: c * r**p * np.exp(-lam * r),
+        fn=(lambda r, c=coef, p=exponent, lam=rate: c * r**p * np.exp(-lam * r)) if rate
+        else (lambda r, c=coef, p=exponent: c * r**p),
         lo=lo,
         hi=hi,
-        kind="exp",
+        kind="exp" if rate else "power",
         coef=coef,
         exponent=exponent,
-        rate=rate,
+        rate=rate or None,
         small_r_power=exponent,
-        tail_mass_finite=True,
-        log_tail="finite",
+        tail_mass_finite=tail_ok,
+        log_tail="finite" if tail_ok else "divergent",
     )
 
 
@@ -210,10 +208,8 @@ def scale_segment(seg: DensitySegment, c: float) -> DensitySegment:
     """Segment for the density ``c * g``, preserving closed forms and hints."""
     if c <= 0 or not math.isfinite(c):
         raise ValidationError(f"scale factor must be positive and finite, got {c}")
-    if seg.kind == "power":
-        return power_segment(c * seg.coef, seg.exponent, seg.lo, seg.hi)
-    if seg.kind == "exp":
-        return exp_segment(c * seg.coef, seg.exponent, seg.rate, seg.lo, seg.hi)
+    if seg.kind != "callable":
+        return _closed_segment(c * seg.coef, seg.exponent, seg.rate or 0.0, seg.lo, seg.hi)
     return replace(seg, fn=lambda r, g=seg.fn, c=c: c * g(r))
 
 
@@ -245,11 +241,11 @@ def _segment_mass(seg: DensitySegment, a, b, weight=None) -> np.ndarray:
     w = None if weight is None else (lambda rows, r: weight(r))
     try:
         return _segment_integral(seg, a, b, w).real
-    except QuadratureError:
+    except QuadratureError as err:
         if np.isfinite(np.minimum(b, seg.hi)).all():
             raise
         raise ValidationError(
-            "tail integral did not converge; segment violates finite-mass requirement"
+            f"tail integral did not converge ({err}); segment violates finite-mass requirement"
         ) from None
 
 
@@ -381,61 +377,42 @@ class SpectralCheck:
         return "ok" if self.ok else "; ".join(self.violations)
 
 
-def _segment_small_r_violation(seg: DensitySegment) -> Optional[str]:
-    """Check the min(1, r^2) integral at the origin for one segment."""
-    if seg.lo > 0:
-        return None
-    if seg.small_r_power is not None:
-        if seg.small_r_power <= -3:
-            return (
-                f"min(1, r^2) integral diverges at 0: density ~ r^{seg.small_r_power:g} "
-                "needs exponent > -3"
-            )
-        return None
-    b = min(seg.hi, UNIT_BALL_RADIUS)
-    _, ok = head_quad(lambda r, g=seg.fn: r * r * g(r), b)
-    if not ok:
-        return "min(1, r^2) integral at 0 did not converge under cutoff refinement"
-    return None
-
-
-def _segment_tail_violation(seg: DensitySegment) -> Optional[str]:
-    """Check finite mass on the unbounded tail for one segment."""
-    if math.isfinite(seg.hi):
-        return None
-    if seg.tail_mass_finite is True:
-        return None
-    if seg.tail_mass_finite is False:
+def _segment_violation(seg: DensitySegment) -> Optional[str]:
+    """Why the min(1, r^2) integral of one segment is not finite, if it is
+    not.  A hint decides only what it states: ``small_r_power <= -3`` from
+    radius 0 and ``tail_mass_finite`` False on an unbounded support are
+    violations; a ``power`` or ``exp`` segment, whose hints are its
+    parameters and whose density is continuous, is otherwise valid.  A
+    callable one is integrated once, up to ``max(lo, 1)`` when its hint
+    vouches for an unbounded tail, and a failure to converge is the
+    violation."""
+    p, tail = seg.small_r_power, seg.tail_mass_finite
+    if seg.lo == 0 and p is not None and p <= -3:
+        return f"min(1, r^2) integral diverges at 0: density ~ r^{p:g} needs exponent > -3"
+    if math.isinf(seg.hi) and tail is False:
         return "infinite mass on the tail (declared by segment metadata)"
-    _, ok = tail_quad(seg.fn, max(seg.lo, UNIT_BALL_RADIUS))
-    if not ok:
-        return "tail mass integral did not converge under cutoff growth"
+    if seg.kind != "callable":
+        return None
+    top = max(seg.lo, UNIT_BALL_RADIUS) if math.isinf(seg.hi) and tail else seg.hi
+    try:
+        _segment_mass(seg, np.array([seg.lo]), np.array([top]), lambda r: np.minimum(1.0, r * r))
+    except (QuadratureError, ValidationError) as err:
+        return f"min(1, r^2) integral on ({seg.lo:g}, {top:g}) failed: {err}"
     return None
 
 
 def validate_spectral(M: SpectralMeasure) -> SpectralCheck:
-    """Check the defining integrability of a Levy spectral measure.
-
-    Requires the min(1, r^2) radial integral of every segment to be
-    finite and the mass outside every neighborhood of zero to be finite.
+    """Check the Levy condition, a finite min(1, r^2) radial integral on
+    every density segment (Sato 1999, Thm 8.1); atoms always meet it.
     Returns a result instead of raising.
     """
-    violations: list[str] = []
-    for i, ray in enumerate(M.rays):
-        for j, seg in enumerate(ray.densities):
-            v = _segment_small_r_violation(seg)
-            if v:
-                violations.append(f"ray {i} density {j}: {v}")
-            v = _segment_tail_violation(seg)
-            if v:
-                violations.append(f"ray {i} density {j}: {v}")
-            if math.isfinite(seg.hi) and seg.lo > 0:
-                # interior segment: only needs plain integrability
-                try:
-                    _segment_mass(seg, np.array([seg.lo]), np.array([seg.hi]))
-                except QuadratureError:
-                    violations.append(f"ray {i} density {j}: mass integral failed")
-    return SpectralCheck(ok=not violations, violations=tuple(violations))
+    violations = tuple(
+        f"ray {i} density {j}: {v}"
+        for i, ray in enumerate(M.rays)
+        for j, seg in enumerate(ray.densities)
+        if (v := _segment_violation(seg))
+    )
+    return SpectralCheck(ok=not violations, violations=violations)
 
 
 @dataclass(frozen=True)

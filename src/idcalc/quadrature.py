@@ -11,9 +11,10 @@ calls it alone.  Every other integral over radii goes through
 from 0 and stages unbounded tails on growing cutoffs, so that a tail that
 does not settle is reported instead of silently trusted.
 :func:`quad_real` is its real entry point, and :func:`tail_quad` and
-:func:`head_quad` flag non-convergence on ``(a, inf)`` and ``(0, b)``;
-the package calls only these two, and the benchmark's tracer
-(``bench/tracing.py``) wraps all three by name.
+:func:`head_quad` flag non-convergence on ``(a, inf)`` and ``(0, b)``.
+The package calls none of the three: every integral over a density
+segment, validation included, is ``core._segment_integral``.  They remain
+because the benchmark's tracer (``bench/tracing.py``) wraps them by name.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idcalc import core
 from idcalc import (
     IdMeasure,
     LevyTriplet,
@@ -18,6 +20,7 @@ from idcalc import (
     convolve,
     default_grid,
     dirac,
+    exp_segment,
     gamma,
     gaussian,
     log_moment,
@@ -153,6 +156,77 @@ def test_validate_lets_a_density_callables_own_error_through():
     M = SpectralMeasure((RadialComponent(np.array([1.0]), densities=(seg,)),))
     with pytest.raises(TypeError, match="wants a scalar"):
         validate_spectral(M)
+
+
+def one_segment_measure(seg, direction=(1.0,)):
+    return SpectralMeasure((RadialComponent(np.array(direction), densities=(seg,)),))
+
+
+def pole_at_half(r):
+    # not integrable across r = 1/2, on whatever side of radius 1 the support ends
+    with np.errstate(divide="ignore"):
+        return np.exp(-r) / np.abs(r - 0.5)
+
+
+@pytest.mark.parametrize("lo, hi, hints", [
+    (0.25, math.inf, {}),
+    (0.25, math.inf, {"tail_mass_finite": True}),
+    (0.0, math.inf, {"small_r_power": 0.0}),
+    (0.0, 2.0, {"small_r_power": 0.0}),
+    (0.25, 3.0, {}),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_validate_rejects_a_pole_that_no_hint_covers(lo, hi, hints):
+    # a hint vouches only for the end it describes, so the pole at 1/2 is
+    # inside the one min(1, r^2) integral in every case
+    M = one_segment_measure(callable_segment(pole_at_half, lo, hi, **hints))
+    check = validate_spectral(M)
+    assert not check.ok
+    assert f"on ({lo:g}, " in check.describe() and "requested" in check.describe()
+    with pytest.raises(ValidationError, match="min\\(1, r\\^2\\)"):
+        LevyTriplet(np.zeros(1), np.zeros((1, 1)), M)
+
+
+def test_validate_trusts_a_tail_hint_beyond_radius_1():
+    assert validate_spectral(divergent_log_tail_measure(False)).ok
+    # without the hint, its tail of mass 1/log(R) does not settle on growing cutoffs
+    seg = divergent_log_tail_measure(False).rays[0].densities[0]
+    check = validate_spectral(one_segment_measure(replace(seg, tail_mass_finite=None)))
+    assert "did not settle" in check.describe()
+
+
+def counting_quad_cut(monkeypatch):
+    calls = []
+    real = core.quad_cut
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(core, "quad_cut", spy)
+    return calls
+
+
+def test_validate_runs_no_quadrature_on_closed_form_segments(monkeypatch):
+    calls = counting_quad_cut(monkeypatch)
+    # the benchmark specs' densities: power1d, exp1d and plane2d
+    for seg, direction in [(power_segment(0.6, 0.5, 0.2, 3.0), (1.0,)),
+                           (power_segment(0.6, -0.5, 0.1, 1.5), (0.6, 0.8)),
+                           (power_segment(0.6, -1.2, 0.0, 1.5), (1.0,)),
+                           (exp_segment(0.6, -0.5, 1.5, 0.0, math.inf), (1.0,))]:
+        LevyTriplet(np.zeros(len(direction)), np.eye(len(direction)),
+                    one_segment_measure(seg, direction))
+    assert calls == []
+
+
+def test_validate_integrates_a_callable_segment_once(monkeypatch):
+    calls = counting_quad_cut(monkeypatch)
+    assert validate_spectral(one_segment_measure(callable_segment(np.exp, 0.0, 3.0))).ok
+    assert len(calls) == 1
+    hinted = callable_segment(lambda r: r**-2.5, 0.0, math.inf, small_r_power=-2.5,
+                              tail_mass_finite=True)
+    assert validate_spectral(one_segment_measure(hinted)).ok
+    assert len(calls) == 2 and calls[1][1].tolist() == [1.0]
 
 
 # ---------------------------------------------------------------------------
