@@ -4,7 +4,6 @@ random-integral mappings."""
 from .core import (
     IdMeasure,
     LevyTriplet,
-    LogMoment,
     RadialAtom,
     RadialComponent,
     SpectralCheck,

@@ -49,7 +49,6 @@ __all__ = [
     "IdMeasure",
     "batched_exponent",
     "SpectralCheck",
-    "LogMoment",
     "char_exponent",
     "validate_spectral",
     "log_moment",
@@ -235,18 +234,11 @@ def _segment_integral(seg: DensitySegment, a, b, weight=None, where=lambda i: ""
 
 def _segment_mass(seg: DensitySegment, a, b, weight=None) -> np.ndarray:
     """Real :func:`_segment_integral` of ``weight(r)`` (1 for ``None``) on
-    ``(a_i, b_i)``.  With an unbounded interval among them, one that does
-    not converge raises :class:`ValidationError`, as a segment of infinite
-    mass; a clipped lower end of 0 must leave the integrand integrable."""
+    ``(a_i, b_i)``; a clipped lower end of 0 must leave the integrand
+    integrable.  One that does not converge raises :class:`QuadratureError`:
+    a numerical failure, not a proof of infinite mass."""
     w = None if weight is None else (lambda rows, r: weight(r))
-    try:
-        return _segment_integral(seg, a, b, w).real
-    except QuadratureError as err:
-        if np.isfinite(np.minimum(b, seg.hi)).all():
-            raise
-        raise ValidationError(
-            f"tail integral did not converge ({err}); segment violates finite-mass requirement"
-        ) from None
+    return _segment_integral(seg, a, b, w).real
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +388,7 @@ def _segment_violation(seg: DensitySegment) -> Optional[str]:
     top = max(seg.lo, UNIT_BALL_RADIUS) if math.isinf(seg.hi) and tail else seg.hi
     try:
         _segment_mass(seg, np.array([seg.lo]), np.array([top]), lambda r: np.minimum(1.0, r * r))
-    except (QuadratureError, ValidationError) as err:
+    except QuadratureError as err:
         return f"min(1, r^2) integral on ({seg.lo:g}, {top:g}) failed: {err}"
     return None
 
@@ -415,37 +407,26 @@ def validate_spectral(M: SpectralMeasure) -> SpectralCheck:
     return SpectralCheck(ok=not violations, violations=violations)
 
 
-@dataclass(frozen=True)
-class LogMoment:
-    """Outcome of the log-moment check over ``||x|| > 1``."""
+def log_moment(M: SpectralMeasure) -> Optional[bool]:
+    """Whether ``log ||x||`` has a finite integral over ``||x|| > 1``
+    against ``M``: True, False, or None when that is unknown.
 
-    status: str  # "finite" | "infinite" | "inconclusive-divergent"
-    value: Optional[float] = None
-
-    @property
-    def is_finite(self) -> bool:
-        return self.status == "finite"
-
-
-def log_moment(M: SpectralMeasure) -> LogMoment:
-    """Integral of ``log ||x||`` over ``||x|| > 1`` against ``M``.
-
-    Divergence of a tail is asserted only when the segment carries an
-    analytic hint; plain quadrature non-convergence is reported as
-    "inconclusive-divergent".
+    Atoms and bounded segments have a finite one, as ``M`` is a Levy
+    measure.  An unbounded segment's ``log_tail`` hint decides it; every
+    ``power`` and ``exp`` segment and every smear of a hinted one has the
+    hint.  A segment without it is integrated once, and an integral that
+    does not converge gives None, never a proof of divergence.
     """
-    total = 0.0
-    inconclusive = False
-    for i, ray in enumerate(M.rays):
-        if any(math.isinf(seg.hi) and seg.log_tail == "divergent" for seg in ray.densities):
-            return LogMoment("infinite")
-        try:
-            total += M.ray_integral(i, 1.0, math.inf, np.log)
-        except ValidationError:  # a tail integral that did not settle
-            inconclusive = True
-    if inconclusive:
-        return LogMoment("inconclusive-divergent")
-    return LogMoment("finite", total)
+    tails = [seg for ray in M.rays for seg in ray.densities if math.isinf(seg.hi)]
+    if any(seg.log_tail == "divergent" for seg in tails):
+        return False
+    try:
+        for seg in tails:
+            if seg.log_tail is None:
+                _segment_integral(seg, np.ones(1), math.inf, lambda rows, r: np.log(r))
+    except QuadratureError:
+        return None
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -827,18 +808,14 @@ class IdMeasure:
         """Exponent at ``y`` (scalars accepted in dimension 1)."""
         return self.exponent(_as_vector(y, self.dim))
 
-    def cf(self, y) -> complex:
-        """Characteristic function value ``exp(phi(y))``."""
-        return complex(np.exp(self.phi(y)))
-
 
 def _log_moment_flag(mu: IdMeasure) -> Optional[bool]:
     """``mu.log_moment_known``, or when unset the finiteness of the log
-    moment of ``mu``'s triplet (``None`` if it has none or the check is
-    inconclusive)."""
+    moment of ``mu``'s triplet by :func:`log_moment` (``None`` if it has
+    none)."""
     if mu.log_moment_known is not None or mu.triplet is None:
         return mu.log_moment_known
-    return {"finite": True, "infinite": False}.get(log_moment(mu.triplet.M).status)
+    return log_moment(mu.triplet.M)
 
 
 def convolve(mu: IdMeasure, nu: IdMeasure) -> IdMeasure:

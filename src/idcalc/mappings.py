@@ -39,7 +39,6 @@ from .core import (
     _segment_integral,
     batched_exponent,
     callable_segment,
-    log_moment,
     power_segment,
 )
 from . import rays
@@ -127,6 +126,9 @@ def _smear_segment(seg: DensitySegment, beta: float) -> DensitySegment:
         small_r_power=beta - 1.0 if lo > 0 else (None if p is None else min(p, beta - 1.0)),
         # the smear never increases mass outside a neighborhood of zero
         tail_mass_finite=True if seg.tail_mass_finite else seg.tail_mass_finite,
+        # its log moment is int_{s>1} g(s) (log s - (1 - s^-beta)/beta) ds,
+        # finite exactly when the source's is
+        log_tail=seg.log_tail,
         # the inner integral stops moving below the source's lower end
         kinks=(*seg.kinks, lo) if lo > 0 else seg.kinks,
     )
@@ -243,7 +245,8 @@ def j_beta_inverse(mu: IdMeasure, beta: float) -> IdMeasure:
     ``s * phi_mu(s**(1/beta) y)``, by central differences of step
     ``FD_STEP`` with one Richardson extrapolation level; the four points
     go to ``mu`` as one batch, which a composite ``mu`` answers from its
-    fits.  No triplet is produced.
+    fits.  No triplet is produced; the log-moment flag is the source's,
+    as for :func:`j_beta`.
     """
     b = check_beta(beta)
     src = mu.exponent
@@ -259,25 +262,19 @@ def j_beta_inverse(mu: IdMeasure, beta: float) -> IdMeasure:
     return IdMeasure(
         dim=mu.dim,
         exponent=batched_exponent(phi),
+        log_moment_known=_log_moment_flag(mu),
         label=f"jbeta-inv[{b:g}]({mu.label})",
     )
 
 
 def _require_log_moment(mu: IdMeasure, assume_id_log: bool, what: str) -> None:
-    if assume_id_log or mu.log_moment_known is True:
-        return
-    if mu.log_moment_known is False:
-        raise DomainError(f"{what} requires a finite log moment; {mu.label} lacks one")
-    if mu.triplet is None:
+    flag = assume_id_log or _log_moment_flag(mu)
+    if flag is False:
+        raise DomainError(f"{what} requires a finite log moment; that of {mu.label} is infinite")
+    if flag is None:
         raise DomainError(
             f"{what} requires a finite log moment; unknown for {mu.label} "
             "(pass assume_id_log=True to override)"
-        )
-    lm = log_moment(mu.triplet.M)
-    if not lm.is_finite:
-        raise DomainError(
-            f"{what} requires a finite log moment; check on {mu.label} "
-            f"returned {lm.status!r} (pass assume_id_log=True to override)"
         )
 
 
@@ -331,6 +328,6 @@ def corollary1a_kernel(mu: IdMeasure, beta: float) -> IdMeasure:
     return IdMeasure(
         dim=mu.dim,
         exponent=phi,
-        log_moment_known=mu.log_moment_known,
+        log_moment_known=_log_moment_flag(mu),
         label=f"cor1a-kernel[{b:g}]({mu.label})",
     )

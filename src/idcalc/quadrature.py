@@ -93,14 +93,22 @@ _PANELS_PER_CALL = ROW_CAP // GK21_NODES.size
 _SIX = np.arange(6)
 
 
-def _panel_rules(f, elem, a, b):
+def _panel_rules(f, elem, a, b, where):
     """GK21 value, error and rounding floor ``(p, 3, 2)``, real and
-    imaginary part, of each panel ``(a, b)`` of row ``elem``."""
+    imaginary part, of each panel ``(a, b)`` of row ``elem``; an integrand
+    that is not finite at a node raises :class:`QuadratureError` naming
+    the panel, described by ``where(row)``."""
     out = np.zeros((len(elem), 3, 2))
     for start in range(0, len(elem), _PANELS_PER_CALL):
         sl = slice(start, start + _PANELS_PER_CALL)
         half = 0.5 * (b[sl] - a[sl])
         z = f(elem[sl], (a[sl] + half)[:, None] + half[:, None] * GK21_NODES)
+        if not np.isfinite(z).all():
+            k = start + int(np.argmin(np.isfinite(z).all(axis=1)))
+            raise QuadratureError(
+                f"integrand is not finite at a node of the panel ({a[k]:.6g}, {b[k]:.6g})"
+                f"{where(elem[k])}"
+            )
         # real parts, then imaginary parts, as one batch of panels; a real
         # integrand's imaginary part is exactly 0
         parts = [z.real, z.imag] if np.iscomplexobj(z) else [z]
@@ -121,9 +129,10 @@ def quad_complex(f, a, b, n: int, where=lambda i: "") -> np.ndarray:
     rule's rounding floor ``50 eps int |f|``, which no bisection lowers),
     it bisects the panels whose error in that part exceeds their length's
     share of the tolerance; the pending panels of all rows go to ``f``
-    together.  A row that needs more than ``PANEL_LIMIT`` panels raises
-    :class:`QuadratureError`, where ``where(i)`` describes row ``i``.  The
-    ends are finite; :func:`quad_cut` reaches an infinite one.
+    together.  A row that needs more than ``PANEL_LIMIT`` panels, or whose
+    integrand is not finite at a node, raises :class:`QuadratureError`,
+    where ``where(i)`` describes row ``i``.  The ends are finite;
+    :func:`quad_cut` reaches an infinite one.
     """
     a, b = np.zeros(n) + a, np.zeros(n) + b
     span = b - a
@@ -131,7 +140,7 @@ def quad_complex(f, a, b, n: int, where=lambda i: "") -> np.ndarray:
     # the panels of unfinished rows: row, ends and rules
     elem = np.flatnonzero(span > 0)
     lo, hi = a[elem], b[elem]
-    rules = _panel_rules(f, elem, lo, hi)
+    rules = _panel_rules(f, elem, lo, hi, where)
     while len(elem):
         # per-row sums of the 6 rule columns, in one pass
         sums = np.bincount((6 * elem[:, None] + _SIX).ravel(), rules.ravel(), 6 * n)
@@ -165,7 +174,7 @@ def quad_complex(f, a, b, n: int, where=lambda i: "") -> np.ndarray:
         new_elem = np.repeat(elem[split], 2)
         new_lo = np.stack([lo[split], mid], 1).ravel()
         new_hi = np.stack([mid, hi[split]], 1).ravel()
-        rules = np.concatenate([rules[stay], _panel_rules(f, new_elem, new_lo, new_hi)])
+        rules = np.concatenate([rules[stay], _panel_rules(f, new_elem, new_lo, new_hi, where)])
         elem = np.concatenate([elem[stay], new_elem])
         lo, hi = np.concatenate([lo[stay], new_lo]), np.concatenate([hi[stay], new_hi])
     return out

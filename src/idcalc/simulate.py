@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import LevyTriplet, SpectralMeasure, _segment_mass
-from .errors import ValidationError
+from .errors import QuadratureError, ValidationError
 from .mappings import check_beta, sigma_clock
 
 __all__ = [
@@ -187,15 +187,16 @@ class _JumpModel:
 
     Cell ``j`` spans ``[cum[j], cum[j+1])``, component ``c``'s nodes sitting
     at ``offset_c + mass_c * cdf_c``, with left radius ``r0``, ``slope =
-    width / mass`` (0 for no mass) and a ray direction, kept as one row of
-    ``dirs`` per coordinate.  A jump is one uniform ``q`` on the total mass,
-    its cell ``j`` by guide-table lookup and ``(r0[j] + slope[j] (q -
-    cum[j])) dirs[:, j]``: the mixture of the components' piecewise-linear
-    inverse CDFs.
+    width / mass`` (0 for no mass; the mass is the component's own ``mass_c
+    * diff(cdf_c)``, free of the rounding of its offset) and a ray
+    direction, kept as one row of ``dirs`` per coordinate.  A jump is one
+    uniform ``q`` on the total mass, its cell ``j`` by guide-table lookup
+    and ``(r0[j] + slope[j] (q - cum[j])) dirs[:, j]``: the mixture of the
+    components' piecewise-linear inverse CDFs.
     """
 
     def __init__(self, M: SpectralMeasure, eps: float):
-        masses, cum, radii, dirs = [], [np.zeros(1)], [], []
+        masses, cum, cell_mass, radii, dirs = [], [np.zeros(1)], [], [], []
         for ray in M.rays:
             comps = [(at.w, np.array([at.r, at.r]), np.array([0.0, 1.0]))
                      for at in ray.atoms if at.r > eps]
@@ -207,13 +208,14 @@ class _JumpModel:
                         comps.append((mass, *self._build_table(seg, lo, mass)))
             for mass, r, cdf in comps:
                 cum.append(sum(masses) + mass * cdf[1:])
+                cell_mass.append(mass * np.diff(cdf))
                 masses.append(mass)
                 radii.append(r)
                 dirs.append(np.repeat(ray.direction[None, :], len(r) - 1, axis=0))
         self.rate = float(sum(masses))
         if self.rate > 0.0:
             self._cum = np.concatenate(cum)
-            cell_mass = np.diff(self._cum)
+            cell_mass = np.concatenate(cell_mass)
             width = np.concatenate([np.diff(r) for r in radii])
             self._slope = np.divide(width, cell_mass, out=np.zeros_like(width),
                                     where=cell_mass > 0.0)
@@ -231,7 +233,7 @@ class _JumpModel:
             ladder = ladder[: max(1, np.count_nonzero(ladder <= 1e15))]
             try:
                 tails = _segment_mass(seg, ladder, math.inf)
-            except ValidationError:  # a rung whose tail does not settle
+            except QuadratureError:  # a rung whose tail does not settle
                 tails = np.full(len(ladder), np.nan)
             small = np.flatnonzero(tails <= 1e-12 * mass)
             if not len(small):

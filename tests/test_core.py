@@ -10,6 +10,7 @@ from idcalc import core
 from idcalc import (
     IdMeasure,
     LevyTriplet,
+    QuadratureError,
     RadialAtom,
     RadialComponent,
     SpectralMeasure,
@@ -26,6 +27,7 @@ from idcalc import (
     log_moment,
     poisson,
     power_segment,
+    smear_spectral,
     validate_spectral,
 )
 
@@ -182,9 +184,27 @@ def test_validate_rejects_a_pole_that_no_hint_covers(lo, hi, hints):
     M = one_segment_measure(callable_segment(pole_at_half, lo, hi, **hints))
     check = validate_spectral(M)
     assert not check.ok
-    assert f"on ({lo:g}, " in check.describe() and "requested" in check.describe()
+    # from 0, the first panel's centre node is the pole itself
+    said = "not finite at a node of the panel (0, 1)" if lo == 0 else "requested"
+    assert f"on ({lo:g}, " in check.describe() and said in check.describe()
     with pytest.raises(ValidationError, match="min\\(1, r\\^2\\)"):
         LevyTriplet(np.zeros(1), np.zeros((1, 1)), M)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_integrand_not_finite_at_a_node_names_its_panel():
+    # the user's division is theirs to silence; the quadrature warns of nothing
+    M = one_segment_measure(callable_segment(pole_at_half, 0.0, 2.0, small_r_power=0.0))
+    check = validate_spectral(M)
+    assert not check.ok
+    assert "integrand is not finite at a node of the panel (0, 1)" in check.describe()
+
+
+def test_a_failed_mass_integral_is_a_quadrature_error():
+    # the piece (0.25, 1) fails, away from any tail: no claim of infinite mass
+    M = one_segment_measure(callable_segment(pole_at_half, 0.25, math.inf))
+    with pytest.raises(QuadratureError, match=r"on \(0\.25, 1\)"):
+        M.mass_above(0.25)
 
 
 def test_validate_trusts_a_tail_hint_beyond_radius_1():
@@ -207,13 +227,16 @@ def counting_quad_cut(monkeypatch):
     return calls
 
 
+# the benchmark specs' densities: power1d, exp1d and plane2d
+BENCH_SEGMENTS = [(power_segment(0.6, 0.5, 0.2, 3.0), (1.0,)),
+                  (power_segment(0.6, -0.5, 0.1, 1.5), (0.6, 0.8)),
+                  (power_segment(0.6, -1.2, 0.0, 1.5), (1.0,)),
+                  (exp_segment(0.6, -0.5, 1.5, 0.0, math.inf), (1.0,))]
+
+
 def test_validate_runs_no_quadrature_on_closed_form_segments(monkeypatch):
     calls = counting_quad_cut(monkeypatch)
-    # the benchmark specs' densities: power1d, exp1d and plane2d
-    for seg, direction in [(power_segment(0.6, 0.5, 0.2, 3.0), (1.0,)),
-                           (power_segment(0.6, -0.5, 0.1, 1.5), (0.6, 0.8)),
-                           (power_segment(0.6, -1.2, 0.0, 1.5), (1.0,)),
-                           (exp_segment(0.6, -0.5, 1.5, 0.0, math.inf), (1.0,))]:
+    for seg, direction in BENCH_SEGMENTS:
         LevyTriplet(np.zeros(len(direction)), np.eye(len(direction)),
                     one_segment_measure(seg, direction))
     assert calls == []
@@ -235,14 +258,13 @@ def test_validate_integrates_a_callable_segment_once(monkeypatch):
 
 
 def test_log_moment_atom():
-    lm = log_moment(atom_measure(math.e, 2.0))
-    assert lm.status == "finite"
-    assert lm.value == pytest.approx(2.0, abs=1e-12)
+    M = atom_measure(math.e, 2.0)
+    assert log_moment(M) is True
+    assert M.ray_integral(0, 1.0, math.inf, np.log) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_log_moment_empty():
-    lm = log_moment(SpectralMeasure(()))
-    assert lm.status == "finite" and lm.value == 0.0
+    assert log_moment(SpectralMeasure(())) is True
 
 
 def divergent_log_tail_measure(with_hint):
@@ -267,21 +289,38 @@ def test_log_moment_divergent_with_analytic_hint():
     ]
     assert partials[0] == pytest.approx(math.log(math.log(1e2)), rel=1e-9)
     assert partials[2] - partials[1] > 0.5  # still growing at R = 1e12
-    assert log_moment(divergent_log_tail_measure(True)).status == "infinite"
+    assert log_moment(divergent_log_tail_measure(True)) is False
 
 
 def test_log_moment_divergent_without_hint_is_inconclusive():
-    assert (
-        log_moment(divergent_log_tail_measure(False)).status
-        == "inconclusive-divergent"
-    )
+    assert log_moment(divergent_log_tail_measure(False)) is None
 
 
 def test_log_moment_gamma_value():
     # oracle: mpmath quad of log(r) exp(-r)/r over (1, inf)
-    lm = log_moment(gamma(1.0, 1.0).triplet.M)
-    assert lm.status == "finite"
-    assert lm.value == pytest.approx(0.0978431972166702, abs=1e-10)
+    M = gamma(1.0, 1.0).triplet.M
+    assert log_moment(M) is True
+    value = M.ray_integral(0, 1.0, math.inf, np.log)
+    assert value == pytest.approx(0.0978431972166702, abs=1e-10)
+
+
+def test_log_moment_reads_hints_without_quadrature(monkeypatch):
+    calls = counting_quad_cut(monkeypatch)
+    families = [mu.triplet.M for mu in (gamma(1.0, 1.0), poisson(1.0, 2.0))]
+    measures = families + [smear_spectral(M, b) for M in families for b in (0.5, 1.0, 2.0)]
+    # and a stable-like tail r^-1.1, whose log moment 1/0.1^2 no staged quadrature reaches
+    segments = [seg for seg, _ in BENCH_SEGMENTS] + [power_segment(1.0, -1.1, 0.0, math.inf)]
+    measures += [one_segment_measure(seg) for seg in segments]
+    assert all(log_moment(M) is True for M in measures)
+    assert log_moment(one_segment_measure(power_segment(1.0, -0.9, 2.0, math.inf))) is False
+    assert calls == []
+
+
+def test_log_moment_integrates_an_unhinted_tail_once(monkeypatch):
+    calls = counting_quad_cut(monkeypatch)
+    seg = callable_segment(lambda r: np.exp(-r), 0.5, math.inf)
+    assert log_moment(one_segment_measure(seg)) is True
+    assert len(calls) == 1 and calls[0][0].tolist() == [1.0]
 
 
 # ---------------------------------------------------------------------------

@@ -248,9 +248,9 @@ def test_cor5_kink_of_smeared_density_is_a_break_point(monkeypatch):
     evals = [0]
     plain = quadrature._panel_rules
 
-    def counting(f, elem, a, b):
+    def counting(f, elem, a, b, where):
         evals[0] += len(elem) * quadrature.GK21_NODES.size
-        return plain(f, elem, a, b)
+        return plain(f, elem, a, b, where)
 
     monkeypatch.setattr(quadrature, "_panel_rules", counting)
     cost = {}

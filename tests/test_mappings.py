@@ -26,11 +26,13 @@ from idcalc import (
     j_beta,
     j_beta_inverse,
     log_moment,
+    measure_from_spec,
     poisson,
     power_segment,
     sigma_clock,
     smear_spectral,
     smear_triplet,
+    verify_identity,
 )
 from idcalc.factorization import smeared_interval_mass
 from idcalc.mappings import check_beta
@@ -141,9 +143,9 @@ def test_kink_of_smeared_density_cuts_the_exponent(monkeypatch):
     evals = [0]
     plain = quadrature._panel_rules
 
-    def counting(f, elem, a, b):
+    def counting(f, elem, a, b, where):
         evals[0] += len(elem) * quadrature.GK21_NODES.size
-        return plain(f, elem, a, b)
+        return plain(f, elem, a, b, where)
 
     monkeypatch.setattr(quadrature, "_panel_rules", counting)
     for beta in (1.0, 2.0):
@@ -372,18 +374,18 @@ def test_log_moment_preserved_finite_examples():
     # both directions on the finite examples: source and smear agree on status
     for mu in (gamma(1.0, 1.0), poisson(1.0, 2.0)):
         for beta in (0.5, 1.0):
-            src = log_moment(mu.triplet.M)
-            img = log_moment(smear_spectral(mu.triplet.M, beta))
-            assert src.status == "finite"
-            assert img.status == "finite"
+            assert log_moment(mu.triplet.M) is True
+            assert log_moment(smear_spectral(mu.triplet.M, beta)) is True
 
 
 def test_log_moment_smeared_values_match_oracle():
     # frozen from an mpmath double integral of the smeared densities
-    img = log_moment(smear_spectral(gamma(1.0, 1.0).triplet.M, 1.0))
-    assert img.value == pytest.approx(0.0269547695970720, abs=1e-9)
-    img = log_moment(smear_spectral(poisson(1.0, 2.0).triplet.M, 0.5))
-    assert img.value == pytest.approx(0.1073607429330404, abs=1e-10)
+    img = smear_spectral(gamma(1.0, 1.0).triplet.M, 1.0)
+    assert img.ray_integral(0, 1.0, math.inf, np.log) == pytest.approx(
+        0.0269547695970720, abs=1e-9)
+    img = smear_spectral(poisson(1.0, 2.0).triplet.M, 0.5)
+    assert img.ray_integral(0, 1.0, math.inf, np.log) == pytest.approx(
+        0.1073607429330404, abs=1e-10)
 
 
 def test_log_moment_divergence_survives_smear():
@@ -391,8 +393,32 @@ def test_log_moment_divergence_survives_smear():
         lambda r: 1.0 / (r * np.log(r) ** 2), math.e, math.inf, tail_mass_finite=True
     )
     M = SpectralMeasure((RadialComponent(np.array([1.0]), densities=(seg,)),))
-    assert log_moment(M).status == "inconclusive-divergent"
-    assert log_moment(smear_spectral(M, 1.0)).status == "inconclusive-divergent"
+    assert log_moment(M) is None
+    assert log_moment(smear_spectral(M, 1.0)) is None
+
+
+def spec_measure(atom, density):
+    ray = {"direction": [1.0], "atoms": [atom], "densities": [density]}
+    return measure_from_spec({"dim": 1, "spectral": {"rays": [ray]}})
+
+
+def test_heavy_power_tail_is_in_the_domain_of_imap():
+    # stable-like, alpha = 0.1: log moment 1/0.1^2, read from the segment's hint
+    mu = spec_measure({"r": 0.5, "w": 1.0}, {"lo": 0, "hi": "inf", "kind": "power",
+                                             "coef": 1.0, "exponent": -1.1})
+    assert log_moment(mu.triplet.M) is True
+    (report,) = verify_identity("prop2", mu, beta=2.0, mc_n=0)
+    assert report.passed, report.summary()
+
+
+def test_every_shrinking_map_carries_the_flag_of_its_source():
+    # the CI triplet spec: unflagged, with a triplet whose log moment is finite
+    mu = spec_measure({"r": 0.7, "w": 0.5}, {"lo": 0, "hi": "inf", "kind": "exp",
+                                             "coef": 0.6, "exponent": 0, "rate": 2})
+    assert mu.log_moment_known is None
+    for out in (j_beta(mu, 1.0), j_beta_inverse(mu, 1.0), corollary1a_kernel(mu, 1.0)):
+        assert out.log_moment_known is True
+        assert i_map(out).label == f"imap({out.label})"
 
 
 def test_jbeta_propagates_log_moment_flag():

@@ -239,9 +239,9 @@ def test_nested_build_on_a_triplet_runs_no_quadrature(monkeypatch):
     evals = [0]
     plain = quadrature._panel_rules
 
-    def counting(f, elem, a, b):
+    def counting(f, elem, a, b, where):
         evals[0] += len(elem) * quadrature.GK21_NODES.size
-        return plain(f, elem, a, b)
+        return plain(f, elem, a, b, where)
 
     monkeypatch.setattr(quadrature, "_panel_rules", counting)
     mu = gamma(1.0, 1.0)

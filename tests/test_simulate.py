@@ -333,8 +333,13 @@ EXP_TAIL = measure_from_spec({
         {"direction": [-1.0], "atoms": [{"r": 1.6, "w": 0.5}]},
     ]},
 })
+# the CI triplet spec: an exp density after an atom of mass 0.5
+TRIPLET = measure_from_spec({"dim": 1, "spectral": {"rays": [{
+    "direction": [1.0], "atoms": [{"r": 0.7, "w": 0.5}],
+    "densities": [{"lo": 0, "hi": "inf", "kind": "exp", "coef": 0.6,
+                   "exponent": 0, "rate": 2}]}]}})
 TABLE_MEASURES = {"gamma": gamma(1.0, 1.0), "poisson": poisson(1.0, 2.0),
-                  "plane2d": PLANE2D, "exp-tail": EXP_TAIL}
+                  "plane2d": PLANE2D, "exp-tail": EXP_TAIL, "triplet": TRIPLET}
 
 
 def _components(M, eps):
@@ -410,6 +415,10 @@ def test_jump_table_is_the_component_cdfs_end_to_end(name):
         got = model._cum[start:start + n + 1]
         assert np.max(np.abs(got - (offset + mass * cdf))) <= 1e-15 * model.rate
         assert np.array_equal(model._r0[start:start + n], r[:-1])
+        # each cell's mass is its component's own, free of the offset's rounding
+        cell = mass * np.diff(cdf)
+        slope = np.divide(np.diff(r), cell, out=np.zeros(n), where=cell > 0.0)
+        assert np.array_equal(model._slope[start:start + n], slope)
         assert np.all(model._dirs[:, start:start + n].T == direction)
         offset += mass
         start += n
@@ -426,8 +435,9 @@ def test_jump_radii_are_finite_and_inside_the_table(name):
     if name == "gamma":
         # beyond r ~ 29 the density underflows in the normalized cdf
         assert np.count_nonzero(cell_mass == 0.0) > 0
+    own = np.concatenate([m * np.diff(cdf) for m, _, _, cdf in _components(M, EPS)])
     assert np.all(np.isfinite(model._slope))
-    assert np.all(model._slope[cell_mass == 0.0] == 0.0)
+    assert np.all(model._slope[own == 0.0] == 0.0)
     hi = max(r[-1] for _, _, r, _ in _components(M, EPS))
     radii = np.abs(model.sample(_stream(3, 0).random(200_000))[0])
     assert np.all(np.isfinite(radii))
