@@ -236,9 +236,29 @@ def _segment_mass(seg: DensitySegment, a, b, weight=None) -> np.ndarray:
     """Real :func:`_segment_integral` of ``weight(r)`` (1 for ``None``) on
     ``(a_i, b_i)``; a clipped lower end of 0 must leave the integrand
     integrable.  One that does not converge raises :class:`QuadratureError`:
-    a numerical failure, not a proof of infinite mass."""
+    a numerical failure, not a proof of infinite mass.  A ``power`` or
+    ``exp`` segment's own mass is a closed form where it is finite."""
+    if weight is None and seg.kind != "callable":
+        mass = _closed_mass(seg, a, b)
+        if np.isfinite(mass).all():
+            return mass
     w = None if weight is None else (lambda rows, r: weight(r))
     return _segment_integral(seg, a, b, w).real
+
+
+def _closed_mass(seg: DensitySegment, a, b) -> np.ndarray:
+    """``c int r^(q-1) e^(-rate r) dr``, ``q = exponent + 1``, over each ``(a_i,
+    b_i)`` clipped to the support: ``inf`` where it diverges."""
+    a = np.atleast_1d(np.maximum(a, seg.lo))
+    b, q = np.maximum(np.minimum(b, seg.hi), a), seg.exponent + 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if seg.rate:  # _power_exp's series from 0 needs q > 0
+            m = np.where((a > 0.0) | (q > 0.0), _power_exp(q, seg.rate, a, b).real, np.inf)
+        else:
+            L = np.log(b / a)
+            m = L if q == 0.0 else b**q * -np.expm1(-q * L) / q
+            m = np.where(np.isinf(b), -(a**q) / q if q < 0.0 else np.inf, m)
+    return seg.coef * m
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,14 @@ stepwise scheme exactly while keeping runtime flat in the step count.
 
 The jumps above the cutoff form one table of cells; a jump's cell there and
 its time's mesh cell are both guide-table lookups (Chen & Asau 1974).  A
-chunk draws its uniforms, then works through cache-sized blocks of whole
-samples, so that the draws do not depend on the block size.
+chunk works through cache-sized blocks of whole samples, each drawing its own
+uniforms: jump times from the chunk's stream, masses from a copy of it moved
+past all the chunk's times.  So the draws do not depend on the block size,
+and memory is bounded by it.
 
-Randomness comes from counter-based Philox streams keyed by
-``(seed, chunk index)``, so results are reproducible.
+Randomness comes from counter-based Philox streams keyed by ``(seed, chunk
+index)``, so results are reproducible; Philox reaches any position in O(1)
+(Salmon et al. 2011).
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ __all__ = [
 ]
 
 _CHUNK = 8192
-# jumps per pass of the sampler: its arrays of a pass then fit in the L2 cache
+# jumps per block: its arrays, uniforms included, fit in the L2 cache
 _BLOCK = 1 << 16
 # kernel tail of the exponential integrand must contribute < 1e-4
 _TAIL_BUDGET = 1e-4
@@ -57,6 +60,20 @@ _TAIL_BUDGET = 1e-4
 def _stream(seed: int, index: int) -> np.random.Generator:
     key = (int(seed) << 64) + int(index)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _ahead(bit_gen: np.random.Philox, k: int) -> np.random.Generator:
+    """A generator on a copy of ``bit_gen`` that starts ``k`` 64-bit outputs
+    later.  Philox makes four outputs per counter step and buffers the rest
+    of a step; ``advance`` counts steps and drops the buffer."""
+    copy = np.random.Philox(key=0)
+    copy.state = bit_gen.state
+    left = 4 - copy.state["buffer_pos"]
+    if k > left:
+        copy.advance((k - left) // 4)
+        k = (k - left) % 4
+    copy.random_raw(k)
+    return np.random.Generator(copy)
 
 
 @dataclass(frozen=True)
@@ -145,10 +162,10 @@ _TABLE_NODES = 4097
 
 
 class _Guide:
-    """``self(q)`` is the ``j`` with ``x[j] <= q < x[j+1]`` (the last cell of
-    positive width for ``q >= x[-1]``), from ``2 (len(x) - 1)`` equal buckets
-    and a forward walk of at most two cells (Chen & Asau 1974; Devroye 1986,
-    §III.2.4)."""
+    """``self(q)``, ``x[0] <= q <= x[-1]``, is the ``j`` with ``x[j] <= q < x[j+1]``
+    (the last cell of positive width for ``q = x[-1]``), from ``2 (len(x) - 1)``
+    equal buckets and a forward walk of at most two cells (Chen & Asau 1974;
+    Devroye 1986, §III.2.4)."""
 
     def __init__(self, x: np.ndarray):
         nb = 2 * (len(x) - 1)
@@ -161,23 +178,24 @@ class _Guide:
             edges[~ok] = np.nextafter(edges[~ok], np.inf)
         while (down := at(below := np.nextafter(edges, -np.inf))).any():
             edges[down] = below[down]
-        self._start = np.maximum(np.searchsorted(x, edges, "right") - 1, 0)
+        start = np.maximum(np.searchsorted(x, edges, "right") - 1, 0)
+        # q = x[-1] may land in bucket nb, which starts where bucket nb - 1 does
+        self._start = np.append(start, start[-1])
         self._right = np.append(x[1:], np.inf)
         self._top = int(np.searchsorted(x, x[-1], "left")) - 1
 
     def __call__(self, q: np.ndarray) -> np.ndarray:
         b = q - self._x0
         b *= self._scale
-        j = np.clip(b, 0, len(self._start) - 1, out=b).astype(np.intp)
+        j = self._start[b.astype(np.intp)]
         del b
-        j = self._start[j]
-        walk = np.flatnonzero(self._right[j] <= q)
+        walk = walked = np.flatnonzero(self._right[j] <= q)
         for _ in range(2):
             j[walk] += 1
             walk = walk[self._right[j[walk]] <= q[walk]]
         # a binary search for the rare longer walks, each step a numpy pass
         j[walk] = np.searchsorted(self._right, q[walk], "right")
-        np.minimum(j, self._top, out=j)
+        j[walked] = np.minimum(j[walked], self._top)
         return j
 
 
@@ -288,19 +306,21 @@ def _integral_chunk(
     counts = rng.poisson(jumps.rate * tau[-1], m)
     edges = np.zeros(m + 1, dtype=np.intp)  # sample i owns jumps edges[i]:edges[i+1]
     np.cumsum(counts, out=edges[1:])
-    u = rng.random(edges[-1])
-    u *= tau[-1]
-    q = rng.random(edges[-1])
+    # the stream holds all the jump times, then all the masses: a block
+    # reads its times on, its masses from a copy positioned past the times
+    marks = _ahead(rng.bit_generator, int(edges[-1]))
     # blocks of whole samples with about _BLOCK jumps each, so that each
     # sample's jumps add up in the same order at any block size
     lo = 0
     while lo < m:
         hi = max(int(np.searchsorted(edges, edges[lo] + _BLOCK, "right")) - 1, lo + 1)
-        a, b = edges[lo], edges[hi]
-        if b > a:
-            weight = f_left[cells(u[a:b])]
+        k = edges[hi] - edges[lo]
+        if k:
+            u = rng.random(k)
+            u *= tau[-1]
+            weight = f_left[cells(u)]
             owner = np.repeat(np.arange(hi - lo, dtype=np.int32), counts[lo:hi])
-            for i, v in enumerate(jumps.sample(q[a:b])):
+            for i, v in enumerate(jumps.sample(marks.random(k))):
                 v *= weight
                 x[lo:hi, i] += np.bincount(owner, weights=v, minlength=hi - lo)
         lo = hi

@@ -217,6 +217,19 @@ def test_simulate_command(measures, tmp_path):
     assert abs(samples.var() - 1.0 / 3.0) < 0.02
 
 
+def test_simulate_rejects_a_tail_too_slow_to_sample(tmp_path, capsys):
+    # r^-1.1: its mass above the cutoff is a closed form, about 20, but the
+    # mass beyond 1e15 is still 0.3
+    spec = {"dim": 1, "spectral": {"rays": [{
+        "direction": [1.0], "atoms": [{"r": 0.5, "w": 1.0}],
+        "densities": [{"lo": 0, "hi": "inf", "kind": "power", "coef": 1.0,
+                       "exponent": -1.1}]}]}}
+    p = tmp_path / "heavy.json"
+    p.write_text(json.dumps(spec), encoding="utf-8")
+    assert main(["simulate", "--measure", str(p), "--mc.n", "1000"]) == 2
+    assert "segment tail decays too slowly to sample" in capsys.readouterr().err
+
+
 def test_levy_area_command(tmp_path):
     out = tmp_path / "rep.json"
     a_csv = tmp_path / "area.csv"

@@ -242,6 +242,30 @@ def test_validate_runs_no_quadrature_on_closed_form_segments(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("seg", [seg for seg, _ in BENCH_SEGMENTS]
+                         + [gamma(1.0, 1.0).triplet.M.rays[0].densities[0]],
+                         ids=["power1d-ray1", "plane2d", "power1d-ray0", "exp1d", "gamma"])
+def test_closed_segment_masses_match_quadrature(seg, monkeypatch):
+    # the sampler's cutoff to infinity, inner and outer intervals, and
+    # intervals that miss a bounded support
+    a = np.array([1e-3, 0.25, 0.5, 1.0, 2.0, 0.1, 3.0, 7.0])
+    b = np.array([math.inf, 0.5, 2.0, math.inf, 4.0, 1.5, math.inf, 9.0])
+    want = core._segment_integral(seg, a, b).real
+    calls = counting_quad_cut(monkeypatch)
+    np.testing.assert_allclose(core._segment_mass(seg, a, b), want, rtol=1e-13, atol=0.0)
+    assert calls == []
+
+
+def test_a_divergent_closed_segment_mass_is_still_a_quadrature_error():
+    # r^-1.2 is not integrable at 0: the closed form is inf, and the
+    # quadrature reports the failure as before
+    with pytest.raises(QuadratureError, match="did not converge"):
+        core._segment_mass(BENCH_SEGMENTS[2][0], np.array([0.0]), np.array([1.0]))
+    with pytest.raises(QuadratureError, match="did not settle"):
+        core._segment_mass(power_segment(1.0, -0.5, 0.0, math.inf), np.array([1.0]),
+                           np.array([math.inf]))
+
+
 def test_validate_integrates_a_callable_segment_once(monkeypatch):
     calls = counting_quad_cut(monkeypatch)
     assert validate_spectral(one_segment_measure(callable_segment(np.exp, 0.0, 3.0))).ok

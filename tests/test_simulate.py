@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from idcalc.simulate import (
     SE_FLOOR,
     _Guide,
     _JumpModel,
+    _ahead,
     _psd_factor,
     _stream,
 )
@@ -526,6 +528,41 @@ def test_draws_do_not_depend_on_the_block_size(name, spec, n, monkeypatch):
     for block in (1, 4097, 1 << 22):
         monkeypatch.setattr(simulate, "_BLOCK", block)
         assert np.array_equal(sample_integral(triplet, spec, CFG, n, seed=31), want), block
+
+
+@pytest.mark.parametrize("skip", [0, 1, 3, 4, 5, 13, 65_537])
+@pytest.mark.parametrize("start", ["raw0", "raw1", "raw2", "raw3", "poisson"])
+def test_a_positioned_stream_continues_one_long_draw(start, skip):
+    # Philox buffers four outputs per counter step: every buffer position
+    # the chunk stream can be in, before skips within and across steps
+    rng = _stream(11, 2)
+    if start == "poisson":
+        rng.poisson(3.7, 5)
+    else:
+        rng.bit_generator.random_raw(int(start[-1]))
+    ahead = _ahead(rng.bit_generator, skip).random(9)
+    # the long draw comes from the stream itself, which stays where it was
+    assert np.array_equal(ahead, rng.random(skip + 9)[skip:])
+
+
+# about 11,000 jumps per sample: the chunk's uniforms alone would be 1.4 GB
+STABLE_09 = measure_from_spec({"dim": 1, "spectral": {"rays": [{
+    "direction": [1.0], "atoms": [{"r": 0.5, "w": 1.0}],
+    "densities": [{"lo": 0, "hi": "inf", "kind": "power", "coef": 1.0,
+                   "exponent": -1.9}]}]}})
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_sampler_memory_is_bounded_by_the_block(n):
+    spec = imap_integral_spec(20.0)
+    tracemalloc.start()
+    try:
+        x = sample_integral(STABLE_09.triplet, spec, CFG, n, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (n, 1) and np.all(np.isfinite(x))
+    assert peak < 16e6, peak
 
 
 # six draws at seed 2024, pinned before the sampler became one table:
