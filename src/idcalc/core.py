@@ -536,7 +536,7 @@ def char_exponent(triplet: LevyTriplet, y):
     support and at any frequency.  A callable density's term is one
     segment integral, as masses are, of the jump term ``exp(i r c) - 1 -
     i r c 1{r <= 1}`` of every projection ``c``, cut at radius 1 and the
-    kinks, each part to ``max(1e-14, 1e-10 |part|)``: its piece from 0 is
+    kinks, to an error of ``max(1e-14, 1e-10 |value|)``: its piece from 0 is
     substituted by its ``small_r_power`` plus 2, and an unbounded support
     is integrated on growing cutoffs until the increments settle, and
     raises :class:`QuadratureError` when they do not.
@@ -823,10 +823,6 @@ class IdMeasure:
     ) -> "IdMeasure":
         mu = IdMeasure(dim, batched_exponent(exponent), None, log_moment_known, label)
         return mu._vanishing()
-
-    def phi(self, y) -> complex:
-        """Exponent at ``y`` (scalars accepted in dimension 1)."""
-        return self.exponent(_as_vector(y, self.dim))
 
 
 def _log_moment_flag(mu: IdMeasure) -> Optional[bool]:

@@ -3,10 +3,10 @@
 :func:`quad_complex` is the package's integrator: QUADPACK's 21-point
 Gauss-Kronrod rule with its error heuristic (:func:`gk21`; Piessens et
 al., QUADPACK, 1983), applied to the panels of a whole batch of rows at
-once, each row bisecting on its own until its real and imaginary part
-each meet ``max(1e-14, 1e-10 |part|)``.  A radial transform of
-``mappings`` whose weight is bounded at 0 has a bounded integrand and
-calls it alone.  Every other integral over radii goes through
+once, each row bisecting on its own until its error estimate meets
+``max(1e-14, 1e-10 |value|)``, ``|value|`` the complex modulus.  A
+radial transform of ``mappings`` whose weight is bounded at 0 has a
+bounded integrand and calls it alone.  Every other integral over radii goes through
 :func:`quad_cut`, which cuts rows at break points, substitutes pieces
 from 0 and stages unbounded tails on growing cutoffs, so that a tail that
 does not settle is reported instead of silently trusted.
@@ -62,13 +62,13 @@ _UFLOW = np.finfo(float).tiny
 
 
 def gk21(values: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integral, error estimate and rounding floor of real integrands on
-    many panels.
+    """Integral, error estimate and rounding floor of real or complex
+    integrands on many panels.
 
     ``values`` is ``(p, 21)``: each row holds the integrand at the
     :data:`GK21_NODES` mapped onto one panel of half-length ``half``.  The
-    error estimate is QUADPACK's qk21 heuristic, which never reads below
-    the floor ``50 eps int |f|``.
+    error estimate is QUADPACK's qk21 heuristic with ``|.|`` the modulus,
+    and it never reads below the floor ``50 eps int |f|``.
     """
     # row sums rather than matrix products, so that a panel's result does
     # not depend on the other rows of the batch
@@ -90,15 +90,15 @@ ROW_CAP = 2048
 # subintervals one row may use
 PANEL_LIMIT = 300
 _PANELS_PER_CALL = ROW_CAP // GK21_NODES.size
-_SIX = np.arange(6)
+_FOUR = np.arange(4)
 
 
 def _panel_rules(f, elem, a, b, where):
-    """GK21 value, error and rounding floor ``(p, 3, 2)``, real and
-    imaginary part, of each panel ``(a, b)`` of row ``elem``; an integrand
+    """GK21 value (real and imaginary part), error and rounding floor,
+    ``(p, 4)``, of each panel ``(a, b)`` of row ``elem``; an integrand
     that is not finite at a node raises :class:`QuadratureError` naming
     the panel, described by ``where(row)``."""
-    out = np.zeros((len(elem), 3, 2))
+    out = np.zeros((len(elem), 4))
     for start in range(0, len(elem), _PANELS_PER_CALL):
         sl = slice(start, start + _PANELS_PER_CALL)
         half = 0.5 * (b[sl] - a[sl])
@@ -109,12 +109,8 @@ def _panel_rules(f, elem, a, b, where):
                 f"integrand is not finite at a node of the panel ({a[k]:.6g}, {b[k]:.6g})"
                 f"{where(elem[k])}"
             )
-        # real parts, then imaginary parts, as one batch of panels; a real
-        # integrand's imaginary part is exactly 0
-        parts = [z.real, z.imag] if np.iscomplexobj(z) else [z]
-        rules = gk21(np.concatenate(parts), np.tile(half, len(parts)))
-        for q, rule in enumerate(rules):
-            out[sl, q, : len(parts)] = rule.reshape(len(parts), -1).T
+        value, err, floor = gk21(z, half)
+        out[sl] = np.column_stack([value.real, value.imag, err, floor])
     return out
 
 
@@ -125,14 +121,14 @@ def quad_complex(f, a, b, n: int, where=lambda i: "") -> np.ndarray:
     ``f(rows, t)`` gives the integrand of rows ``rows (p,)`` at the nodes
     ``t (p, 21)``, at most ``ROW_CAP`` nodes per call.  ``a`` and ``b``
     are scalars or ``(n,)`` arrays.  Each row refines on its own: while its
-    real or imaginary part misses ``max(ABS_TOL, REL_TOL |part|)`` (or the
-    rule's rounding floor ``50 eps int |f|``, which no bisection lowers),
-    it bisects the panels whose error in that part exceeds their length's
-    share of the tolerance; the pending panels of all rows go to ``f``
-    together.  A row that needs more than ``PANEL_LIMIT`` panels, or whose
-    integrand is not finite at a node, raises :class:`QuadratureError`,
-    where ``where(i)`` describes row ``i``.  The ends are finite;
-    :func:`quad_cut` reaches an infinite one.
+    error estimate misses ``max(ABS_TOL, REL_TOL |total|)``, ``|total|``
+    the modulus of its complex value (or the rule's rounding floor ``50 eps
+    int |f|``, which no bisection lowers), it bisects the panels whose
+    error exceeds their length's share of the tolerance; the pending panels
+    of all rows go to ``f`` together.  A row that needs more than
+    ``PANEL_LIMIT`` panels, or whose integrand is not finite at a node,
+    raises :class:`QuadratureError`, where ``where(i)`` describes row
+    ``i``.  The ends are finite; :func:`quad_cut` reaches an infinite one.
     """
     a, b = np.zeros(n) + a, np.zeros(n) + b
     span = b - a
@@ -142,32 +138,31 @@ def quad_complex(f, a, b, n: int, where=lambda i: "") -> np.ndarray:
     lo, hi = a[elem], b[elem]
     rules = _panel_rules(f, elem, lo, hi, where)
     while len(elem):
-        # per-row sums of the 6 rule columns, in one pass
-        sums = np.bincount((6 * elem[:, None] + _SIX).ravel(), rules.ravel(), 6 * n)
-        total, total_err, floor = sums.reshape(n, 3, 2).transpose(1, 0, 2)
+        # per-row sums of the 4 rule columns, in one pass
+        sums = np.bincount((4 * elem[:, None] + _FOUR).ravel(), rules.ravel(), 4 * n)
+        re, im, total_err, floor = sums.reshape(n, 4).T
+        total = re + 1j * im
         tol = np.maximum(np.maximum(ABS_TOL, REL_TOL * np.abs(total)), floor)
-        short = ~(total_err <= tol)  # a NaN error is short too
-        done = ~short.any(axis=1)
+        done = total_err <= tol  # a NaN error is not
         # rows finished before have no panels left, and sums of 0
-        out[done] += total[done, 0] + 1j * total[done, 1]
-        finite = np.isfinite(total).all(axis=1) & np.isfinite(total_err).all(axis=1)
+        out[done] += total[done]
+        finite = np.isfinite(total) & np.isfinite(total_err)
         if done.all() and finite.all():
             return out
 
         pending = ~done[elem]
         share = (hi - lo) / span[elem]
-        split = pending & (short[elem] & ~(rules[:, 1] <= tol[elem] * share[:, None])).any(axis=1)
+        split = pending & ~(rules[:, 2] <= tol[elem] * share)
         count = np.bincount(elem[pending], minlength=n) + np.bincount(elem[split], minlength=n)
         stuck = np.flatnonzero((count > PANEL_LIMIT) | ~finite)
         if len(stuck):
             i = stuck[0]
-            part = int(np.argmax(np.nan_to_num(total_err[i] / tol[i], nan=np.inf)))
             raise QuadratureError(
                 f"quadrature on ({a[i]:.6g}, {b[i]:.6g}){where(i)} did not converge: "
-                f"achieved abs error {total_err[i, part]:.3e}, requested "
-                f"{tol[i, part]:.3e}, with at most {PANEL_LIMIT} subintervals",
-                achieved=float(total_err[i, part]),
-                requested=float(tol[i, part]),
+                f"achieved abs error {total_err[i]:.3e}, requested {tol[i]:.3e}, "
+                f"with at most {PANEL_LIMIT} subintervals",
+                achieved=float(total_err[i]),
+                requested=float(tol[i]),
             )
         stay = pending & ~split
         mid = 0.5 * (lo[split] + hi[split])
@@ -192,9 +187,9 @@ def _staged_quad(f, n: int, lo: np.ndarray, where=lambda i: ""):
     """Integrals ``(n,)`` of ``f(rows, t)``, as in :func:`quad_complex`,
     over ``(lo_i, inf)``: the pieces ``(lo, max(2 lo, 10))``, each next one
     ``_STAGE_FACTOR`` times as far out.  A row stops after two increments
-    in a row whose parts are each within ``max(10 ABS_TOL, REL_TOL |part
-    of its sum|)``, and raises :class:`QuadratureError` if it has not after
-    ``_MAX_STAGES`` pieces."""
+    in a row whose modulus is within ``max(10 ABS_TOL, REL_TOL |sum|)``,
+    and raises :class:`QuadratureError` if it has not after ``_MAX_STAGES``
+    pieces."""
     pieces = [(lo, np.maximum(2.0 * lo, 10.0))]
     for _ in range(_MAX_STAGES):
         pieces.append((pieces[-1][1], _STAGE_FACTOR * pieces[-1][1]))
@@ -209,9 +204,9 @@ def _staged_quad(f, n: int, lo: np.ndarray, where=lambda i: ""):
                             lambda i: where(r[i])).reshape(lo.shape)
         # running sums, added one piece at a time
         sums = np.cumsum(np.concatenate([total[rows, None], incs], axis=1), axis=1)[:, 1:]
-        inc2 = np.abs(np.stack([incs.real, incs.imag], 2))
-        tol = np.maximum(10.0 * ABS_TOL, REL_TOL * np.abs(np.stack([sums.real, sums.imag], 2)))
-        small = (inc2 <= tol).all(axis=2)
+        size = np.abs(incs)
+        tol = np.maximum(10.0 * ABS_TOL, REL_TOL * np.abs(sums))
+        small = size <= tol
         if start == 0:
             small[:, 0] = False  # the first piece is no increment
         stop = small & np.concatenate([streak[rows, None], small[:, :-1]], axis=1)
@@ -223,13 +218,12 @@ def _staged_quad(f, n: int, lo: np.ndarray, where=lambda i: ""):
         if not len(rows):
             return total
     lo, hi = pieces[-1][0][rows[0]], pieces[-1][1][rows[0]]
-    inc2, tol = inc2[live][0, -1], tol[live][0, -1]
-    part = int(np.argmax(inc2 / tol))
+    size, tol = size[live][0, -1], tol[live][0, -1]
     raise QuadratureError(
         f"staged quadrature{where(rows[0])} did not settle by ({lo:.6g}, {hi:.6g}): "
-        f"last increment {inc2[part]:.3e}, requested {tol[part]:.3e}",
-        achieved=float(inc2[part]),
-        requested=float(tol[part]),
+        f"last increment {size:.3e}, requested {tol:.3e}",
+        achieved=float(size),
+        requested=float(tol),
     )
 
 

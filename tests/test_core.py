@@ -355,21 +355,21 @@ def test_log_moment_integrates_an_unhinted_tail_once(monkeypatch):
 def test_convolve_gaussians():
     out = convolve(gaussian(1.0), gaussian(2.0))
     for y in GRID_1D:
-        assert out.phi(y) == pytest.approx(gaussian(3.0).phi(y), abs=1e-12)
+        assert out.exponent(y) == pytest.approx(gaussian(3.0).exponent(y), abs=1e-12)
 
 
 def test_convolve_with_identity():
     mu = poisson(1.0, 2.0)
     out = convolve(mu, dirac([0.0]))
     for y in GRID_1D:
-        assert out.phi(y) == pytest.approx(mu.phi(y), abs=1e-14)
+        assert out.exponent(y) == pytest.approx(mu.exponent(y), abs=1e-14)
 
 
 def test_convolve_exponent_sum():
     mu, nu = gamma(1.0, 1.0), poisson(0.5, 2.0)
     out = convolve(mu, nu)
     for y in GRID_1D:
-        assert out.phi(y) == pytest.approx(mu.phi(y) + nu.phi(y), abs=1e-14)
+        assert out.exponent(y) == pytest.approx(mu.exponent(y) + nu.exponent(y), abs=1e-14)
 
 
 def test_convolve_dim_mismatch():
@@ -378,12 +378,12 @@ def test_convolve_dim_mismatch():
 
 
 def test_conv_power_examples():
-    assert conv_power(gaussian(1.0), 0.5).phi(2.0) == pytest.approx(-1.0, abs=1e-14)
+    assert conv_power(gaussian(1.0), 0.5).exponent(np.array([2.0])) == pytest.approx(-1.0, abs=1e-14)
     mu = gamma(2.0, 1.0)
     for y in GRID_1D:
-        assert conv_power(mu, 1.0).phi(y) == pytest.approx(mu.phi(y), abs=1e-14)
-        assert conv_power(mu, 2.0).phi(y) == pytest.approx(
-            convolve(mu, mu).phi(y), abs=1e-14
+        assert conv_power(mu, 1.0).exponent(y) == pytest.approx(mu.exponent(y), abs=1e-14)
+        assert conv_power(mu, 2.0).exponent(y) == pytest.approx(
+            convolve(mu, mu).exponent(y), abs=1e-14
         )
 
 
@@ -403,8 +403,8 @@ def test_conv_power_ring_law(c1, c2):
     mu = poisson(1.0, 2.0)
     lhs = conv_power(mu, c1 + c2)
     rhs = convolve(conv_power(mu, c1), conv_power(mu, c2))
-    for y in (0.5, 2.0):
-        assert abs(lhs.phi(y) - rhs.phi(y)) < 1e-12
+    for y in (np.array([0.5]), np.array([2.0])):
+        assert abs(lhs.exponent(y) - rhs.exponent(y)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +422,9 @@ def test_conv_power_ring_law(c1, c2):
 def test_exponent_invariants(shift, var, r, w):
     t = LevyTriplet(np.array([shift]), np.array([[var]]), atom_measure(r, w))
     mu = IdMeasure.from_triplet(t)
-    assert mu.phi(0.0) == 0.0
-    for y in (0.1, 1.0, 5.0):
-        a, b = mu.phi(y), mu.phi(-y)
+    assert mu.exponent(np.array([0.0])) == 0.0
+    for y in (np.array([0.1]), np.array([1.0]), np.array([5.0])):
+        a, b = mu.exponent(y), mu.exponent(-y)
         assert abs(b - a.conjugate()) < 1e-12
         assert abs(np.exp(a)) <= 1.0 + 1e-12
 
@@ -438,7 +438,7 @@ def test_triplet_exponent_consistency(mu):
     # the installed closed form must match the quadrature route
     for y in default_grid(mu.dim):
         direct = char_exponent(mu.triplet, y)
-        assert abs(complex(mu.phi(y)) - direct) < 1e-10
+        assert abs(mu.exponent(y) - direct) < 1e-10
 
 
 def test_consistency_dimension_2():
@@ -447,7 +447,7 @@ def test_consistency_dimension_2():
     t = LevyTriplet(np.array([0.1, -0.2]), np.array([[2.0, 1.0], [1.0, 2.0]]), M)
     mu = IdMeasure.from_triplet(t)
     for y in default_grid(2)[:10]:
-        a, b = mu.phi(y), mu.phi(-y)
+        a, b = mu.exponent(y), mu.exponent(-y)
         assert abs(b - a.conjugate()) < 1e-12
         assert abs(np.exp(a)) <= 1.0 + 1e-12
 
@@ -472,8 +472,8 @@ def test_exponents_safe_under_concurrent_evaluation():
     mu = gamma(1.0, 1.0)
     quad_mu = IdMeasure.from_triplet(mu.triplet)  # quadrature-backed evaluator
     ys = [np.array([v]) for v in np.linspace(0.3, 4.0, 24)]
-    serial = [quad_mu.phi(y) for y in ys]
+    serial = [quad_mu.exponent(y) for y in ys]
     with ThreadPoolExecutor(max_workers=8) as pool:
-        threaded = list(pool.map(quad_mu.phi, ys * 4))
+        threaded = list(pool.map(quad_mu.exponent, ys * 4))
     assert threaded[:24] == serial
     assert threaded == serial * 4

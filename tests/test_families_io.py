@@ -28,8 +28,8 @@ def test_full_spec_parses_and_evaluates():
     assert mu.dim == 1
     assert mu.triplet is not None
     assert len(mu.triplet.M.rays) == 1
-    z = mu.phi(1.0)
-    assert abs(mu.phi(-1.0) - z.conjugate()) < 1e-12
+    z = mu.exponent(np.array([1.0]))
+    assert abs(mu.exponent(np.array([-1.0])) - z.conjugate()) < 1e-12
     assert abs(np.exp(z)) <= 1.0 + 1e-12
 
 
@@ -41,8 +41,8 @@ def test_family_shorthands_match_constructors():
     ]
     for spec, want in pairs:
         got = measure_from_spec(spec)
-        for y in (0.5, 2.0):
-            assert got.phi(y) == pytest.approx(want.phi(y), abs=1e-14)
+        for y in (np.array([0.5]), np.array([2.0])):
+            assert got.exponent(y) == pytest.approx(want.exponent(y), abs=1e-14)
 
 
 def test_exp_kind_density():
@@ -63,9 +63,9 @@ def test_exp_kind_density():
     mu = measure_from_spec(spec)
     # gamma spectral part without the shift correction
     want = gamma(1.0, 1.0)
-    y = 1.0
-    shift_term = 1j * y * want.triplet.a[0]
-    assert mu.phi(y) == pytest.approx(want.phi(y) - shift_term, abs=1e-10)
+    y = np.array([1.0])
+    shift_term = 1j * y[0] * want.triplet.a[0]
+    assert mu.exponent(y) == pytest.approx(want.exponent(y) - shift_term, abs=1e-10)
 
 
 def test_unknown_family_rejected():
@@ -105,7 +105,8 @@ def test_load_measure_roundtrip(tmp_path):
     p.write_text(json.dumps(FULL_SPEC), encoding="utf-8")
     mu = load_measure(p)
     assert mu.label == "m"
-    assert mu.phi(2.0) == pytest.approx(measure_from_spec(FULL_SPEC).phi(2.0), abs=1e-12)
+    y = np.array([2.0])
+    assert mu.exponent(y) == pytest.approx(measure_from_spec(FULL_SPEC).exponent(y), abs=1e-12)
 
 
 def test_missing_dim_rejected():

@@ -30,6 +30,14 @@ def test_quad_complex_unit_circle():
     assert val[0] == pytest.approx(2j, abs=1e-12)
 
 
+def test_quad_complex_accepts_a_row_on_its_modulus():
+    # a small imaginary part with a kink: its error meets 1e-10 |total| but
+    # not 1e-10 of the imaginary part alone
+    val = quad_complex(lambda rows, t: np.exp(t) + 1e-8j * np.abs(t - 1 / 3) ** -0.5, 0.0, 1.0, 1)
+    want = (math.e - 1) + 2e-8j * ((2 / 3) ** 0.5 + (1 / 3) ** 0.5)
+    assert abs(val[0] - want) <= 1e-10 * abs(want)
+
+
 def test_quad_real_raises_on_nonconvergence():
     with pytest.raises(QuadratureError) as exc:
         quad_real(lambda x: np.sin(1.0 / x), 0.0, 1.0)

@@ -187,6 +187,29 @@ def test_prop2_on_stable_like_measures(seed, beta):
     assert report.passed, report
 
 
+# two rays, atoms and a power density (the benchmark's plane2d spec at seed 7)
+PLANE_SPEC = {
+    "dim": 2, "shift": [0.2, -0.3],
+    "cov": [[0.688228088636939, 0.06778850119862961],
+            [0.06778850119862961, 0.30445961606090804]],
+    "spectral": {"rays": [
+        {"direction": [-0.9996940109277227, -0.024736299546260235],
+         "atoms": [{"r": 0.5, "w": 0.6}, {"r": 1.5, "w": 0.4}],
+         "densities": [{"lo": 0.1, "hi": 1.5, "kind": "power", "coef": 0.6, "exponent": -0.5}]},
+        {"direction": [0.6083202515713982, -0.7936916728353087],
+         "atoms": [{"r": 2.0, "w": 0.5}]}]},
+}
+
+
+def test_i_of_j_beta_on_plane_spec_with_a_small_imaginary_part():
+    # the value is about -5.32 - 5.2e-5 i: its imaginary part alone cannot
+    # meet 1e-10 of itself, the modulus can
+    mu = measure_from_spec(PLANE_SPEC)
+    y = np.array([[-5.582, -3.462]])
+    got = i_of_j_beta(mu, 1.5).exponent(y)
+    assert_rel(got, i_map(j_beta(mu, 1.5)).exponent(y))
+
+
 def test_row_cap_bounds_every_source_call():
     from idcalc.quadrature import ROW_CAP
 

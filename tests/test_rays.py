@@ -197,6 +197,14 @@ def test_cor1b_on_baseline_spec_reads_few_leaf_rows():
     assert sum(batches) <= 50_000
 
 
+def test_cor1b_reads_mu_after_back_commits_rho():
+    # read first, mu's small batches would find no committed ray of rho
+    # and read it directly: 38,178 leaf rows, 20,748 of them before any commit
+    mu, batches = counted(measure_from_spec(BASELINE_SPEC))
+    assert verify_cor1b(mu, 1.0).passed
+    assert sum(batches) <= 20_000
+
+
 def test_committed_ray_answers_a_small_read_from_its_fits(answered):
     # a 10-row read on two rays makes 210 reads of the inner exponent in
     # its first round, too few to commit a ray, but answered from the fits
