@@ -29,38 +29,16 @@ from .core import default_grid
 from .errors import DomainError, IdcalcError, QuadratureError, ValidationError
 from .families import load_measure
 from .levyarea import AreaParams, nu_exponent, verify_levy_area
-from .mappings import corollary1a_kernel, i_map, i_of_j_beta, j_beta, j_beta_inverse
 from .factorization import verify_prop1
 from .reports import VerificationReport, exponent_report, validate_report
-from .simulate import (
-    PathConfig,
-    clocked_integral_spec,
-    cor1a_integral_spec,
-    imap_integral_spec,
-    jbeta_integral_spec,
-    write_samples_csv,
+from .simulate import PathConfig, write_samples_csv
+from .verify import (
+    IDENTITIES, INTEGRALS, MAPPINGS, mc_report, run_all, sample_measure, verify_identity,
 )
-from .verify import IDENTITIES, mc_report, run_all, sample_measure, verify_identity
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
-
-_MAPPINGS = {
-    "jbeta": lambda mu, b: j_beta(mu, b),
-    "jbeta-inv": lambda mu, b: j_beta_inverse(mu, b),
-    "imap": lambda mu, b: i_map(mu),
-    "i-of-jbeta": lambda mu, b: i_of_j_beta(mu, b),
-    "cor1a": lambda mu, b: corollary1a_kernel(mu, b),
-}
-
-# each integral's sampling spec, and the _MAPPINGS entry that gives its law
-_INTEGRALS = {
-    "jbeta": (lambda b, s_max: jbeta_integral_spec(b), "jbeta"),
-    "imap": (lambda b, s_max: imap_integral_spec(s_max), "imap"),
-    "clocked": (lambda b, s_max: clocked_integral_spec(b, s_max), "i-of-jbeta"),
-    "cor1a": (lambda b, s_max: cor1a_integral_spec(b), "cor1a"),
-}
 
 
 def _grid_from_args(args, dim: int) -> np.ndarray:
@@ -136,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("map", help="apply a mapping and evaluate the result")
     _add_measure_arg(p)
-    p.add_argument("--mapping", choices=sorted(_MAPPINGS), default="jbeta")
+    p.add_argument("--mapping", choices=sorted(MAPPINGS), default="jbeta")
     p.add_argument("--beta", type=float, default=1.0)
     _add_outputs(p)
 
@@ -157,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample a random integral, test its ecf")
     _add_measure_arg(p)
-    p.add_argument("--integral", choices=sorted(_INTEGRALS), default="jbeta")
+    p.add_argument("--integral", choices=sorted(INTEGRALS), default="jbeta")
     p.add_argument("--beta", type=float, default=1.0)
     _add_mc(p)
     _add_outputs(p)
@@ -175,7 +153,7 @@ def _cmd_map(args) -> int:
     if args.mapping is None:
         report = exponent_report("exponent", mu, grid, notes=[f"measure {mu.label}"])
     else:
-        mapped = _MAPPINGS[args.mapping](mu, args.beta)
+        mapped = MAPPINGS[args.mapping][0](mu, args.beta)
         report = exponent_report(
             f"map:{args.mapping}", mapped, grid,
             beta=None if args.mapping == "imap" else args.beta,
@@ -212,6 +190,9 @@ def _cmd_verify(args) -> int:
     else:
         if not args.identity:
             raise ValidationError("verify needs --identity NAME or --all")
+        index = IDENTITIES[args.identity].index
+        if args.beta is not None and index is not None:
+            raise ValidationError(f"{args.identity} runs at index {index:g}; it reads no --beta")
         # the stochastic-area law is 1-d whatever measure is given
         dim = mu.dim if mu is not None and args.identity != "levyarea" else 1
         reports = verify_identity(
@@ -230,14 +211,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     mu = load_measure(args.measure)
-    make_spec, mapping = _INTEGRALS[args.integral]
+    make_spec, law = INTEGRALS[args.integral]
     spec = make_spec(args.beta, args.mc_smax)
     cfg = _path_config(args)
     samples = sample_measure(mu, spec, cfg, max(args.mc_n, 2), args.seed)
     if args.csv:
         write_samples_csv(args.csv, samples)
     report = mc_report(
-        f"simulate:{args.integral}", samples, spec, _MAPPINGS[mapping](mu, args.beta),
+        f"simulate:{args.integral}", samples, spec, law(mu, args.beta),
         _grid_from_args(args, mu.dim), cfg, args.beta, args.seed,
         notes=[f"measure {mu.label}", f"target {spec.target}"],
     )

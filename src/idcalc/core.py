@@ -799,7 +799,7 @@ class IdMeasure:
                 raise ValueError(f"got shape {np.shape(z)}")
         except (TypeError, ValueError, IndexError) as e:
             raise ValidationError(f"exponent must map rows (n, {self.dim}) to (n,): {e}") from e
-        if abs(z[0]) > 1e-9:
+        if not abs(z[0]) <= 1e-9:  # NaN fails this too
             raise ValidationError(f"exponent does not vanish at 0: {z[0]}")
         return self
 

@@ -22,9 +22,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import IdMeasure, SpectralMeasure, conv_power, convolve, default_grid
+from .core import IdMeasure, SpectralMeasure, conv_power, convolve
 from .mappings import check_beta, j_beta, j_beta_inverse, smear_spectral
-from .reports import VerificationReport, grid_check
+from .reports import Identity, VerificationReport
 
 __all__ = [
     "factor_rho",
@@ -35,11 +35,7 @@ __all__ = [
     "dyadic_mesh",
 ]
 
-S_SELFDEC_NOTE = "beta=1: s-selfdecomposable case"
-# pass thresholds of the verifiers on their worst absolute difference
-PROP1_TOL = 1e-8
-LEMMA1E_TOL = 1e-8
-COR1B_TOL = 1e-7
+# pass threshold of the measure-level check on its worst absolute difference
 COR5_TOL = 1e-6
 
 
@@ -50,71 +46,54 @@ def factor_rho(nu: IdMeasure, beta: float) -> IdMeasure:
     return replace(j_beta(conv_power(nu, 0.5), 2.0 * b), label=f"rho[{b:g}]({nu.label})")
 
 
-def verify_prop1(
-    nu: IdMeasure,
-    beta: float,
-    grid: Optional[np.ndarray] = None,
-) -> VerificationReport:
-    """Check ``j_beta(rho) * rho = j_beta(nu)`` for the constructed factor.
+def _selfdec(b: float) -> list[str]:
+    return ["beta=1: s-selfdecomposable case"] if b == 1.0 else []
 
-    Each point also records the factor's exponent as ``rho``.
-    """
-    b = check_beta(beta)
-    if grid is None:
-        grid = default_grid(nu.dim)
-    grid = np.asarray(grid, dtype=float).reshape(-1, nu.dim)
+
+def _prop1(nu: IdMeasure, b: float) -> list:
     rho = factor_rho(nu, b)
-    rho_vals = rho.exponent(grid)
-    lhs = j_beta(rho, b).exponent(grid) + rho_vals
-    notes = [f"factor {rho.label} of {nu.label}"]
-    if b == 1.0:
-        notes.append(S_SELFDEC_NOTE)
-    report = grid_check("prop1", lhs, j_beta(nu, b).exponent, grid, PROP1_TOL, beta=b, notes=notes)
-    for pt, z in zip(report.points, rho_vals):
-        pt["rho"] = [float(z.real), float(z.imag)]
-    return report
+    notes = [f"factor {rho.label} of {nu.label}", *_selfdec(b)]
+    return [(convolve(j_beta(rho, b), rho), j_beta(nu, b), notes, {"rho": rho})]
+
+
+def _cor1b(seed: IdMeasure, b: float) -> list:
+    rho = j_beta(seed, 2.0 * b)
+    mu = convolve(j_beta(rho, b), rho)
+    # back is the rhs, read first: its large batches commit rho's rays,
+    # which mu's small reads then answer from the fits
+    return [(mu, j_beta(j_beta_inverse(mu, b), b), [f"seed {seed.label}"])]
+
+
+PROP1 = Identity("prop1", 1e-8, _prop1)
+LEMMA1E = Identity("lemma1e", 1e-8, lambda rho, b: [(
+    j_beta(convolve(j_beta(rho, b), rho), 2.0 * b), j_beta(conv_power(rho, 2.0), b),
+    [f"seed {rho.label}", *_selfdec(b)],
+)])
+COR1B = Identity("cor1b", 1e-7, _cor1b)
+
+
+def verify_prop1(
+    nu: IdMeasure, beta: float, grid: Optional[np.ndarray] = None
+) -> VerificationReport:
+    """Check ``j_beta(rho) * rho = j_beta(nu)`` for the constructed factor;
+    each point also records the factor's exponent as ``rho``."""
+    return PROP1(nu, beta, grid)[0]
 
 
 def verify_lemma1e(
-    rho: IdMeasure,
-    beta: float,
-    grid: Optional[np.ndarray] = None,
+    rho: IdMeasure, beta: float, grid: Optional[np.ndarray] = None
 ) -> VerificationReport:
     """Check ``J^{2b}(J^b(rho) * rho) = J^b(rho^{*2})`` on the grid."""
-    b = check_beta(beta)
-    if grid is None:
-        grid = default_grid(rho.dim)
-    lhs = j_beta(convolve(j_beta(rho, b), rho), 2.0 * b)
-    rhs = j_beta(conv_power(rho, 2.0), b)
-    notes = [f"seed {rho.label}"]
-    if b == 1.0:
-        notes.append(S_SELFDEC_NOTE)
-    return grid_check("lemma1e", lhs.exponent, rhs.exponent, grid, LEMMA1E_TOL, beta=b, notes=notes)
+    return LEMMA1E(rho, beta, grid)[0]
 
 
 def verify_cor1b(
-    seed: IdMeasure,
-    beta: float,
-    grid: Optional[np.ndarray] = None,
+    seed: IdMeasure, beta: float, grid: Optional[np.ndarray] = None
 ) -> VerificationReport:
     """Forward image check: for ``rho`` in the index-``2b`` image,
-    ``j_beta(rho) * rho`` lies in the index-``b`` image.
-
-    Certified by inverting the mapping on the convolution and mapping
-    back; the round trip must reproduce the exponent.
-    """
-    b = check_beta(beta)
-    if grid is None:
-        grid = default_grid(seed.dim)
-    grid = np.asarray(grid, dtype=float).reshape(-1, seed.dim)
-    rho = j_beta(seed, 2.0 * b)
-    mu = convolve(j_beta(rho, b), rho)
-    back = j_beta(j_beta_inverse(mu, b), b)
-    # back first: its large batches commit rho's rays, which mu's small
-    # reads then answer from the fits instead of reading rho directly
-    back_vals = back.exponent(grid)
-    notes = [f"seed {seed.label}"]
-    return grid_check("cor1b", mu.exponent(grid), back_vals, grid, COR1B_TOL, beta=b, notes=notes)
+    ``j_beta(rho) * rho`` lies in the index-``b`` image, certified by a
+    round trip through the inverse mapping."""
+    return COR1B(seed, beta, grid)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import IdMeasure
+from .core import IdMeasure, default_grid
+from .mappings import check_beta
 
 __all__ = [
+    "Identity",
     "VerificationReport",
     "exponent_report",
     "grid_check",
@@ -103,6 +105,46 @@ def grid_check(
         points=points,
         notes=list(notes),
     )
+
+
+@dataclass(frozen=True)
+class Identity:
+    """One identity, declared as data: a row of the identity table.
+
+    ``checks(mu, beta)`` builds the sub-checks from the mapping and core
+    operators, as ``(lhs, rhs, notes)`` with two measures per side; a
+    fourth entry ``{column: measure}`` adds each measure's exponent to
+    every point.  ``mc`` names the random integral a Monte Carlo sub-check
+    samples and the law ``(mu, beta) -> measure`` it is tested against.
+    ``index`` fixes the mapping index of a row that reads no beta.  ``run``
+    reaches a separate check instead, ``(mu, beta, grid, u) -> report``.
+    """
+
+    name: str
+    tol: Optional[float] = None
+    checks: Optional[Callable[[IdMeasure, float], list]] = None
+    mc: Optional[tuple] = None
+    index: Optional[float] = None
+    run: Optional[Callable] = None
+
+    def __call__(self, mu: IdMeasure, beta: float, grid=None) -> list[VerificationReport]:
+        """Each sub-check on the grid, its rhs evaluated before its lhs: an
+        rhs that commits a shared input's rays lets the lhs answer from
+        their fits (cor1b's round trip), and no side is rewritten."""
+        b = check_beta(beta)
+        grid = np.asarray(default_grid(mu.dim) if grid is None else grid, dtype=float)
+        grid = grid.reshape(-1, mu.dim)
+        reports = []
+        for lhs, rhs, notes, *columns in self.checks(mu, b):
+            rhs_vals = rhs.exponent(grid)
+            report = grid_check(
+                self.name, lhs.exponent, rhs_vals, grid, self.tol, beta=b, notes=notes
+            )
+            for col, measure in (columns[0] if columns else {}).items():
+                for pt, z in zip(report.points, measure.exponent(grid)):
+                    pt[col] = [float(z.real), float(z.imag)]
+            reports.append(report)
+        return reports
 
 
 def exponent_report(

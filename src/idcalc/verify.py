@@ -1,5 +1,5 @@
-"""One verifier per named identity, and the Monte Carlo report builder,
-shared by the CLI and the test suite.
+"""The identity table, its Monte Carlo route and the full matrix, shared
+by the CLI and the test suite.
 
 Identity names: lemma1c (commutation), lemma1d (convolution/power
 homomorphism), lemma1e (double-map identity), prop1 (factorization),
@@ -7,6 +7,7 @@ cor1a (one-shot kernel for the twice-mapped class), cor1b (image round
 trip), cor5 (spectral-measure factorization), prop2 (clocked
 composition, quadrature pair plus Monte Carlo), cor3 (index-1 clocked
 representation, Monte Carlo), levyarea (stochastic-area closed forms).
+Each is one :class:`idcalc.reports.Identity` row of ``IDENTITIES``.
 """
 
 from __future__ import annotations
@@ -17,23 +18,28 @@ import numpy as np
 
 from .core import IdMeasure, conv_power, convolve, default_grid
 from .errors import ValidationError
-from .factorization import verify_cor1b, verify_corollary5, verify_lemma1e, verify_prop1
+from .factorization import COR1B, LEMMA1E, PROP1, verify_corollary5
 from .families import gamma, gaussian, dirac, poisson
 from .levyarea import AreaParams, verify_levy_area
-from .mappings import corollary1a_kernel, i_map, i_of_j_beta, j_beta
-from .reports import VerificationReport, grid_check
+from .mappings import corollary1a_kernel, i_map, i_of_j_beta, j_beta, j_beta_inverse
+from .reports import Identity, VerificationReport
 from .simulate import (
     Z_MAX,
     KernelIntegralSpec,
     PathConfig,
     cf_distance_test,
     clocked_integral_spec,
+    cor1a_integral_spec,
     ecf,
+    imap_integral_spec,
+    jbeta_integral_spec,
     sample_integral,
 )
 
 __all__ = [
     "IDENTITIES",
+    "MAPPINGS",
+    "INTEGRALS",
     "default_seed_measures",
     "sample_measure",
     "mc_report",
@@ -41,25 +47,58 @@ __all__ = [
     "run_all",
 ]
 
-IDENTITIES = (
-    "lemma1c",
-    "lemma1d",
-    "lemma1e",
-    "prop1",
-    "cor1a",
-    "cor1b",
-    "cor5",
-    "prop2",
-    "cor3",
-    "levyarea",
-)
-
 BETA_SET = (0.5, 1.0, 2.0)
-# pass thresholds on the largest absolute exponent difference
-LEMMA1C_TOL = 1e-8
-LEMMA1D_TOL = 1e-10
-COR1A_TOL = 1e-8
-PROP2_TOL = 1e-8
+
+# each mapping by name: its law (mu, beta) -> measure, and the random
+# integral with that law, as its name and sampling spec (beta, s_max) ->
+# KernelIntegralSpec; a law looks its mapping up when called, so a
+# wrapper put on the module's name is seen
+MAPPINGS = {
+    "jbeta": (lambda mu, b: j_beta(mu, b), "jbeta", lambda b, s_max: jbeta_integral_spec(b)),
+    "jbeta-inv": (lambda mu, b: j_beta_inverse(mu, b), None, None),
+    "imap": (lambda mu, b: i_map(mu), "imap", lambda b, s_max: imap_integral_spec(s_max)),
+    "i-of-jbeta": (lambda mu, b: i_of_j_beta(mu, b), "clocked", clocked_integral_spec),
+    "cor1a": (lambda mu, b: corollary1a_kernel(mu, b), "cor1a",
+              lambda b, s_max: cor1a_integral_spec(b)),
+}
+# each random integral by name: (sampling spec, law)
+INTEGRALS = {name: (spec, law) for law, name, spec in MAPPINGS.values() if name}
+
+
+def _cor5(mu, beta, grid, u) -> VerificationReport:
+    if mu is None or mu.triplet is None:
+        raise ValidationError("cor5 needs a measure with a spectral part")
+    return verify_corollary5(mu.triplet.M, beta)
+
+
+_ROWS = (
+    Identity("lemma1c", 1e-8, lambda mu, b: [
+        (j_beta(j_beta(mu, b), b2), j_beta(j_beta(mu, b2), b),
+         [f"second index {b2:g}", f"seed {mu.label}"])
+        for b2 in BETA_SET
+    ]),
+    Identity("lemma1d", 1e-10, lambda mu, b: [
+        (j_beta(convolve(mu, mu), b), convolve(j_beta(mu, b), j_beta(mu, b)),
+         ["convolution homomorphism", f"seed {mu.label}"]),
+        *((conv_power(j_beta(mu, b), c), j_beta(conv_power(mu, c), b),
+           [f"convolution power c={c:g}", f"seed {mu.label}"]) for c in (0.5, 2.0)),
+    ]),
+    LEMMA1E,
+    PROP1,
+    Identity("cor1a", 1e-8, lambda mu, b: [
+        (corollary1a_kernel(mu, b), j_beta(j_beta(mu, b), 2.0 * b), [f"seed {mu.label}"]),
+    ]),
+    COR1B,
+    Identity("cor5", run=_cor5),
+    Identity("prop2", 1e-8, lambda mu, b: [
+        (i_map(j_beta(mu, b)), i_of_j_beta(mu, b),
+         ["two-stage vs clocked quadrature", f"seed {mu.label}"]),
+    ], mc=("clocked", lambda mu, b: i_of_j_beta(mu, b))),
+    Identity("cor3", mc=("clocked", lambda mu, b: i_map(j_beta(mu, b))), index=1.0),
+    Identity("levyarea", index=1.0,
+             run=lambda mu, beta, grid, u: verify_levy_area(AreaParams(u=u), grid)),
+)
+IDENTITIES = {row.name: row for row in _ROWS}
 
 
 def default_seed_measures() -> dict[str, IdMeasure]:
@@ -123,27 +162,6 @@ def mc_report(
     )
 
 
-def _clocked_mc(
-    identity: str,
-    mu: IdMeasure,
-    beta: float,
-    reference: IdMeasure,
-    grid: np.ndarray,
-    cfg: Optional[PathConfig],
-    n: int,
-    seed: int,
-    s_max: float,
-) -> VerificationReport:
-    """Sample the clocked integral and test it against ``reference``."""
-    cfg = cfg or PathConfig()
-    spec = clocked_integral_spec(beta, s_max=s_max)
-    samples = sample_measure(mu, spec, cfg, n, seed)
-    return mc_report(
-        identity, samples, spec, reference, grid, cfg, beta, seed,
-        notes=[f"seed measure {mu.label}"],
-    )
-
-
 def verify_identity(
     name: str,
     measure: Optional[IdMeasure] = None,
@@ -156,94 +174,29 @@ def verify_identity(
     u: float = 1.0,
 ) -> list[VerificationReport]:
     """Run one named identity check; returns one report per sub-check."""
-    if name not in IDENTITIES:
-        raise ValidationError(f"unknown identity {name!r}; choose from {IDENTITIES}")
-    if name == "levyarea":
-        return [verify_levy_area(AreaParams(u=u), grid)]
+    row = IDENTITIES.get(name)
+    if row is None:
+        raise ValidationError(f"unknown identity {name!r}; choose from {tuple(IDENTITIES)}")
+    if row.run is not None:
+        return [row.run(measure, beta, grid, u)]
     if measure is None:
         raise ValidationError(f"identity {name!r} needs a measure")
+    if row.checks is None and mc_n <= 0:
+        raise ValidationError(f"{name}'s only route is Monte Carlo, so --mc.n must be > 0")
+    beta = beta if row.index is None else row.index
     if grid is None:
         grid = default_grid(measure.dim)
-    mu = measure
-
-    if name == "lemma1c":
-        worstr = []
-        for b2 in BETA_SET:
-            lhs = j_beta(j_beta(mu, beta), b2)
-            rhs = j_beta(j_beta(mu, b2), beta)
-            worstr.append(
-                grid_check(
-                    "lemma1c", lhs.exponent, rhs.exponent, grid, LEMMA1C_TOL, beta=beta,
-                    notes=[f"second index {b2:g}", f"seed {mu.label}"],
-                )
-            )
-        return worstr
-
-    if name == "lemma1d":
-        reports = []
-        lhs = j_beta(convolve(mu, mu), beta)
-        rhs = convolve(j_beta(mu, beta), j_beta(mu, beta))
-        reports.append(
-            grid_check(
-                "lemma1d", lhs.exponent, rhs.exponent, grid, LEMMA1D_TOL, beta=beta,
-                notes=["convolution homomorphism", f"seed {mu.label}"],
-            )
-        )
-        for c in (0.5, 2.0):
-            lhs = conv_power(j_beta(mu, beta), c)
-            rhs = j_beta(conv_power(mu, c), beta)
-            reports.append(
-                grid_check(
-                    "lemma1d", lhs.exponent, rhs.exponent, grid, LEMMA1D_TOL, beta=beta,
-                    notes=[f"convolution power c={c:g}", f"seed {mu.label}"],
-                )
-            )
-        return reports
-
-    if name == "lemma1e":
-        return [verify_lemma1e(mu, beta, grid)]
-
-    if name == "prop1":
-        return [verify_prop1(mu, beta, grid)]
-
-    if name == "cor1a":
-        lhs = corollary1a_kernel(mu, beta)
-        rhs = j_beta(j_beta(mu, beta), 2.0 * beta)
-        return [
-            grid_check(
-                "cor1a", lhs.exponent, rhs.exponent, grid, COR1A_TOL, beta=beta,
-                notes=[f"seed {mu.label}"],
-            )
-        ]
-
-    if name == "cor1b":
-        return [verify_cor1b(mu, beta, grid)]
-
-    if name == "cor5":
-        if measure.triplet is None:
-            raise ValidationError("cor5 needs a measure with a spectral part")
-        return [verify_corollary5(measure.triplet.M, beta)]
-
-    if name == "prop2":
-        two_stage = i_map(j_beta(mu, beta))
-        one_shot = i_of_j_beta(mu, beta)
-        reports = [
-            grid_check(
-                "prop2", two_stage.exponent, one_shot.exponent, grid, PROP2_TOL, beta=beta,
-                notes=["two-stage vs clocked quadrature", f"seed {mu.label}"],
-            )
-        ]
-        if mc_n > 0:
-            reports.append(
-                _clocked_mc("prop2", mu, beta, one_shot, grid, mc_cfg, mc_n, seed, mc_s_max)
-            )
-        return reports
-
-    if name == "cor3":
-        reference = i_map(j_beta(mu, 1.0))
-        return [_clocked_mc("cor3", mu, 1.0, reference, grid, mc_cfg, mc_n, seed, mc_s_max)]
-
-    raise AssertionError(f"unhandled identity {name}")
+    reports = row(measure, beta, grid) if row.checks is not None else []
+    if row.mc is not None and mc_n > 0:
+        integral, law = row.mc
+        cfg = mc_cfg or PathConfig()
+        spec = INTEGRALS[integral][0](beta, mc_s_max)
+        samples = sample_measure(measure, spec, cfg, mc_n, seed)
+        reports.append(mc_report(
+            name, samples, spec, law(measure, beta), grid, cfg, beta, seed,
+            notes=[f"seed measure {measure.label}"],
+        ))
+    return reports
 
 
 def run_all(
@@ -253,31 +206,21 @@ def run_all(
     seed: int = 0,
     mc_s_max: float = 20.0,
 ) -> list[VerificationReport]:
-    """Full verification matrix: the identity list crossed with the beta
-    set, over the given measure or the default seed families.  ``mc_s_max``
+    """Full verification matrix: the table's grid identities crossed with
+    the beta set, over the given measure or the default seed families.  ``mc_s_max``
     is the clock horizon of the prop2 and cor3 Monte Carlo layers."""
     seeds = {"measure": measure} if measure is not None else default_seed_measures()
+    mc = dict(mc_cfg=mc_cfg, mc_n=mc_n, mc_s_max=mc_s_max, seed=seed)
     reports: list[VerificationReport] = []
     for fam, mu in seeds.items():
         for beta in BETA_SET:
-            for name in ("lemma1c", "lemma1d", "lemma1e", "prop1", "cor1a", "cor1b"):
-                reports.extend(
-                    verify_identity(name, mu, beta=beta, mc_n=0, seed=seed)
-                )
-            reports.extend(
-                verify_identity(
-                    "prop2", mu, beta=beta, mc_cfg=mc_cfg, mc_n=mc_n,
-                    mc_s_max=mc_s_max, seed=seed,
-                )
-            )
+            for name, row in IDENTITIES.items():
+                if row.checks is not None:
+                    reports.extend(verify_identity(name, mu, beta=beta, **mc))
         if mu.triplet is not None and not mu.triplet.M.is_empty:
             for beta in (1.0, 2.0):
                 reports.extend(verify_identity("cor5", mu, beta=beta))
         if mc_n > 0 and fam in ("gamma", "poisson"):
-            reports.extend(
-                verify_identity(
-                    "cor3", mu, mc_cfg=mc_cfg, mc_n=mc_n, mc_s_max=mc_s_max, seed=seed
-                )
-            )
+            reports.extend(verify_identity("cor3", mu, **mc))
     reports.extend(verify_identity("levyarea", u=1.0))
     return reports

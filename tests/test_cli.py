@@ -306,6 +306,20 @@ def test_verify_all_rejects_identity_flags(flag, capsys):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("identity", ["cor3", "levyarea"])
+def test_verify_rejects_beta_the_identity_does_not_read(identity, measures, capsys):
+    # both run at index 1 whatever --beta says
+    argv = ["verify", "--identity", identity, "--measure", measures["gauss"], "--beta", "2"]
+    assert main(argv + ["--mc.n", "50"]) == 2
+    assert f"{identity} runs at index 1; it reads no --beta" in capsys.readouterr().err
+
+
+def test_verify_cor3_without_monte_carlo_exits_2(measures, capsys):
+    argv = ["verify", "--identity", "cor3", "--measure", measures["gauss"], "--mc.n", "0"]
+    assert main(argv) == 2
+    assert "cor3's only route is Monte Carlo, so --mc.n must be > 0" in capsys.readouterr().err
+
+
 def test_verify_all_mc_smax_reaches_mc_reports(measures, tmp_path):
     out = tmp_path / "rep.json"
     code = main(

@@ -464,6 +464,18 @@ def test_idmeasure_rejects_nonvanishing_exponent():
         IdMeasure.from_exponent(1, lambda Y: np.ones(len(Y), dtype=complex))
 
 
+def test_idmeasure_rejects_exponent_that_is_nan_at_zero():
+    # 2y/sinh(2y) - 1 read naively is 0/0 at y = 0
+    def naive(Y):
+        with np.errstate(invalid="ignore"):
+            return 2.0 * Y[:, 0] / np.sinh(2.0 * Y[:, 0]) - 1.0 + 0j
+
+    with pytest.raises(ValidationError, match="vanish"):
+        IdMeasure.from_exponent(1, naive)
+    with pytest.raises(ValidationError, match="vanish"):
+        IdMeasure.from_exponent(1, lambda Y: np.full(len(Y), np.nan + 0j))
+
+
 def test_exponents_safe_under_concurrent_evaluation():
     # evaluators are pure closures over immutable state; quadrature keeps
     # its working set per call, so threads must not interfere
