@@ -32,9 +32,7 @@ from .levyarea import AreaParams, nu_exponent, verify_levy_area
 from .factorization import verify_prop1
 from .reports import VerificationReport, exponent_report, validate_report
 from .simulate import PathConfig, write_samples_csv
-from .verify import (
-    IDENTITIES, INTEGRALS, MAPPINGS, mc_report, run_all, sample_measure, verify_identity,
-)
+from .verify import IDENTITIES, INTEGRALS, MAPPINGS, mc_check, run_all, verify_identity
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -60,9 +58,8 @@ def _write_csv(path, header: list, rows) -> None:
         w.writerows(rows)
 
 
-def _y_cell(y):
-    """A frequency as one CSV cell: the number on 1-d grids, else the vector."""
-    y = [float(v) for v in y]
+def _y_cell(y: list):
+    """A point's frequency as one CSV cell: the number on 1-d grids, else the vector."""
     return y[0] if len(y) == 1 else y
 
 
@@ -150,15 +147,14 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_map(args) -> int:
     mu = load_measure(args.measure)
     grid = _grid_from_args(args, mu.dim)
-    if args.mapping is None:
-        report = exponent_report("exponent", mu, grid, notes=[f"measure {mu.label}"])
-    else:
+    mapped, notes = mu, [f"measure {mu.label}"]
+    if args.mapping is not None:
         mapped = MAPPINGS[args.mapping][0](mu, args.beta)
-        report = exponent_report(
-            f"map:{args.mapping}", mapped, grid,
-            beta=None if args.mapping == "imap" else args.beta,
-            notes=[f"measure {mu.label}", f"result {mapped.label}"],
-        )
+        notes.append(f"result {mapped.label}")
+    report = exponent_report(
+        "exponent" if args.mapping is None else f"map:{args.mapping}", mapped, grid,
+        beta=None if args.mapping == "imap" else args.beta, notes=notes,
+    )
     if args.csv:
         _write_csv(args.csv, ["y", "re", "im"],
                    [(_y_cell(p["y"]), p["re"], p["im"]) for p in report.points])
@@ -190,21 +186,18 @@ def _cmd_verify(args) -> int:
     else:
         if not args.identity:
             raise ValidationError("verify needs --identity NAME or --all")
-        index = IDENTITIES[args.identity].index
-        if args.beta is not None and index is not None:
-            raise ValidationError(f"{args.identity} runs at index {index:g}; it reads no --beta")
-        # the stochastic-area law is 1-d whatever measure is given
-        dim = mu.dim if mu is not None and args.identity != "levyarea" else 1
+        # a row with its own check reads a 1-d grid (levyarea's t; cor5 reads none)
+        dim = mu.dim if mu is not None and IDENTITIES[args.identity].run is None else 1
         reports = verify_identity(
             args.identity,
             measure=mu,
-            beta=1.0 if args.beta is None else args.beta,
-            grid=_grid_from_args(args, dim),
+            beta=args.beta,
+            grid=_grid_from_args(args, dim) if args.grid else None,
             mc_cfg=cfg,
             mc_n=args.mc_n,
             mc_s_max=args.mc_smax,
             seed=args.seed,
-            u=1.0 if args.u is None else args.u,
+            u=args.u,
         )
     return _finish(reports, args.out)
 
@@ -213,27 +206,25 @@ def _cmd_simulate(args) -> int:
     mu = load_measure(args.measure)
     make_spec, law = INTEGRALS[args.integral]
     spec = make_spec(args.beta, args.mc_smax)
-    cfg = _path_config(args)
-    samples = sample_measure(mu, spec, cfg, max(args.mc_n, 2), args.seed)
-    if args.csv:
-        write_samples_csv(args.csv, samples)
-    report = mc_report(
-        f"simulate:{args.integral}", samples, spec, law(mu, args.beta),
-        _grid_from_args(args, mu.dim), cfg, args.beta, args.seed,
+    samples, report = mc_check(
+        f"simulate:{args.integral}", mu, spec, law, args.beta, _grid_from_args(args, mu.dim),
+        _path_config(args), max(args.mc_n, 2), args.seed,
         notes=[f"measure {mu.label}", f"target {spec.target}"],
     )
+    if args.csv:
+        write_samples_csv(args.csv, samples)
     return _finish([report], args.out)
 
 
 def _cmd_levy_area(args) -> int:
     params = AreaParams(u=args.u)
-    report = verify_levy_area(params, _grid_from_args(args, 1))
+    grid = _grid_from_args(args, 1)
+    report = verify_levy_area(params, grid)
     if args.csv:
-        t = np.array([p["t"] for p in report.points])
         _write_csv(
             args.csv, ["t", "background_exponent", "log_sinh_factor", "mapped", "abs_diff"],
             [(p["t"], bg, p["log_sinh_factor"][0], p["mapped"][0], p["abs_diff"])
-             for p, bg in zip(report.points, nu_exponent(params, t).real)],
+             for p, bg in zip(report.points, nu_exponent(params, grid[:, 0]).real)],
         )
     return _finish([report], args.out)
 

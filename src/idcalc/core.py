@@ -350,11 +350,11 @@ class SpectralMeasure:
         """Total mass at radii greater than ``eps``."""
         return sum(self.ray_integral(i, eps, math.inf) for i in range(len(self.rays)))
 
-    def mean_between(self, eps: float, cap: float = UNIT_BALL_RADIUS) -> np.ndarray:
-        """Vector integral of ``x`` over ``eps < ||x|| <= cap``."""
+    def mean_between(self, eps: float) -> np.ndarray:
+        """Vector integral of ``x`` over ``eps < ||x|| <= UNIT_BALL_RADIUS``."""
         out = np.zeros(self.dim or 1)
         for i, ray in enumerate(self.rays):
-            out += self.ray_integral(i, eps, cap, lambda r: r) * ray.direction
+            out += self.ray_integral(i, eps, UNIT_BALL_RADIUS, lambda r: r) * ray.direction
         return out
 
     def second_moment_below(self, eps: float) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import IdMeasure, SpectralMeasure, conv_power, convolve
 from .mappings import check_beta, j_beta, j_beta_inverse, smear_spectral
-from .reports import Identity, VerificationReport
+from .reports import Identity, VerificationReport, to_points
 
 __all__ = [
     "factor_rho",
@@ -53,7 +53,8 @@ def _selfdec(b: float) -> list[str]:
 def _prop1(nu: IdMeasure, b: float) -> list:
     rho = factor_rho(nu, b)
     notes = [f"factor {rho.label} of {nu.label}", *_selfdec(b)]
-    return [(convolve(j_beta(rho, b), rho), j_beta(nu, b), notes, {"rho": rho})]
+    # the lhs is the convolution as its terms: the rho column is its read of rho
+    return [((j_beta(rho, b), rho), j_beta(nu, b), notes, {"rho": 1})]
 
 
 def _cor1b(seed: IdMeasure, b: float) -> list:
@@ -143,22 +144,18 @@ def verify_corollary5(
     so the two sides are computed by different routes.
     """
     b = check_beta(beta)
-    if mesh is None:
-        mesh = dyadic_mesh()
+    mesh = np.array(dyadic_mesh() if mesh is None else mesh, dtype=float).reshape(-1, 2)
     M = smear_spectral(G, 2.0 * b).scaled(0.5) if not G.is_empty else G
-    r1, r2 = np.array(mesh, dtype=float).reshape(-1, 2).T
-    points = []
-    worst = 0.0
-    for ray in range(len(G.rays)):
-        lhs = smeared_interval_mass(M, b, ray, r1, r2) + M.interval_mass(ray, r1, r2)
-        rhs = smeared_interval_mass(G, b, ray, r1, r2)
-        for x1, x2, left, right in zip(r1, r2, lhs.tolist(), rhs.tolist()):
-            diff = abs(left - right)
-            worst = max(worst, diff)
-            points.append({"ray": ray, "interval": [float(x1), float(x2)], "lhs": left,
-                           "rhs": right, "abs_diff": diff})
-    if not G.rays:
-        points.append({"ray": None, "interval": None, "lhs": 0.0, "rhs": 0.0, "abs_diff": 0.0})
+    r1, r2 = mesh.T
+    rays = range(len(G.rays))
+    lhs = np.array([smeared_interval_mass(M, b, ray, r1, r2) + M.interval_mass(ray, r1, r2)
+                    for ray in rays]).ravel()
+    rhs = np.array([smeared_interval_mass(G, b, ray, r1, r2) for ray in rays]).ravel()
+    cols = {"ray": np.repeat(rays, len(mesh)), "interval": np.tile(mesh, (len(rays), 1))}
+    if not G.rays:  # one placeholder point
+        cols, lhs, rhs = {"ray": [None], "interval": [None]}, np.zeros(1), np.zeros(1)
+    diffs = np.abs(lhs - rhs)
+    worst = float(diffs.max(initial=0.0))
     return VerificationReport(
         identity="cor5",
         grid_max_abs=worst,
@@ -166,6 +163,6 @@ def verify_corollary5(
         beta=b,
         tolerance=COR5_TOL,
         metric="mass_diff",
-        points=points,
+        points=to_points({**cols, "lhs": lhs, "rhs": rhs, "abs_diff": diffs}),
         notes=["radial test sets, measure-level factorization"],
     )

@@ -28,7 +28,7 @@ import numpy as np
 from .core import IdMeasure, batched_exponent, default_grid
 from .errors import ValidationError
 from .mappings import i_map, i_of_j_beta, j_beta
-from .reports import VerificationReport
+from .reports import VerificationReport, to_points
 
 __all__ = [
     "AreaParams",
@@ -149,15 +149,6 @@ def verify_levy_area(
     rhs = sinh_factor_exponent(params, t)
     diff = np.abs(lhs - rhs)
     worst = float(diff.max(initial=0.0))
-    points = [
-        {
-            "t": float(ti),
-            "mapped": [float(a.real), float(a.imag)],
-            "log_sinh_factor": [float(b.real), float(b.imag)],
-            "abs_diff": float(d),
-        }
-        for ti, a, b, d in zip(t, lhs, rhs, diff)
-    ]
 
     # (ii) product form and bounds of the full characteristic function
     chi0 = chi(params, 0.0)
@@ -187,7 +178,7 @@ def verify_levy_area(
         beta=None,
         tolerance=LEVY_AREA_TOL,
         metric="abs_diff",
-        points=points,
+        points=to_points({"t": t, "mapped": lhs, "log_sinh_factor": rhs, "abs_diff": diff}),
         notes=notes,
         extra={
             "u": params.u,

@@ -267,27 +267,28 @@ def j_beta_inverse(mu: IdMeasure, beta: float) -> IdMeasure:
     )
 
 
-def _require_log_moment(mu: IdMeasure, assume_id_log: bool, what: str) -> None:
-    flag = assume_id_log or _log_moment_flag(mu)
+def _require_log_moment(mu: IdMeasure, what: str) -> None:
+    flag = _log_moment_flag(mu)
     if flag is False:
         raise DomainError(f"{what} requires a finite log moment; that of {mu.label} is infinite")
     if flag is None:
         raise DomainError(
             f"{what} requires a finite log moment; unknown for {mu.label} "
-            "(pass assume_id_log=True to override)"
+            "(set log_moment_known=True on the measure to override)"
         )
 
 
-def i_map(mu: IdMeasure, assume_id_log: bool = False) -> IdMeasure:
+def i_map(mu: IdMeasure) -> IdMeasure:
     """Selfdecomposability mapping: exponential kernel over (0, inf).
 
     Exponent: integral over u in (0, 1] of ``phi(u y)/u``, from 0, with
     the substitution of :func:`radial_map` where the integrand blows up
     there.
 
-    Requires a finite log moment unless overridden.
+    Requires a finite log moment: ``mu.log_moment_known``, or its
+    triplet's when unset.
     """
-    _require_log_moment(mu, assume_id_log, "i_map")
+    _require_log_moment(mu, "i_map")
     return IdMeasure(
         dim=mu.dim,
         exponent=radial_map(mu, lambda u: 1.0 / u),
@@ -295,7 +296,7 @@ def i_map(mu: IdMeasure, assume_id_log: bool = False) -> IdMeasure:
     )
 
 
-def i_of_j_beta(mu: IdMeasure, beta: float, assume_id_log: bool = False) -> IdMeasure:
+def i_of_j_beta(mu: IdMeasure, beta: float) -> IdMeasure:
     """Composition of ``i_map`` after ``j_beta`` in a single quadrature.
 
     Exponent: integral over u in (0, 1) of
@@ -303,7 +304,7 @@ def i_of_j_beta(mu: IdMeasure, beta: float, assume_id_log: bool = False) -> IdMe
     cross-validate the two-stage composition.
     """
     b = check_beta(beta)
-    _require_log_moment(mu, assume_id_log, "i_of_j_beta")
+    _require_log_moment(mu, "i_of_j_beta")
     return IdMeasure(
         dim=mu.dim,
         exponent=radial_map(mu, lambda u: 1.0 / u - u ** (b - 1.0)),

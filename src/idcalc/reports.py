@@ -18,7 +18,6 @@ __all__ = [
     "VerificationReport",
     "exponent_report",
     "grid_check",
-    "report_schema",
     "validate_report",
 ]
 
@@ -64,37 +63,31 @@ class VerificationReport:
         )
 
 
+def to_points(columns: dict) -> list[dict]:
+    """Named columns of equal length as report points, one per row, keys
+    in column order: a complex value becomes ``[re, im]``, a row of a 2-d
+    column a list, and a float, an int or ``None`` stays as it is."""
+    cells = [
+        np.stack([c.real, c.imag], axis=-1).tolist() if np.iscomplexobj(c) else c.tolist()
+        for c in map(np.asarray, columns.values())
+    ]
+    return [dict(zip(columns, row)) for row in zip(*cells)]
+
+
 def grid_check(
     identity: str,
-    lhs: Callable[[np.ndarray], np.ndarray],
-    rhs: Callable[[np.ndarray], np.ndarray],
-    grid: Sequence[np.ndarray],
+    lhs: np.ndarray,
+    rhs: np.ndarray,
+    grid: np.ndarray,
     tol: float,
     beta: Optional[float] = None,
     notes: Sequence[str] = (),
+    columns: Optional[dict] = None,
 ) -> VerificationReport:
-    """Compare two exponent evaluators pointwise over a grid.
-
-    Each side maps the whole grid ``(n, dim)`` to ``(n,)`` values in one
-    call; a side given as an array is taken as its values on the grid.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim == 1:
-        grid = grid.reshape(-1, 1)
-    lhs_vals, rhs_vals = (
-        side if isinstance(side, np.ndarray) else side(grid) for side in (lhs, rhs)
-    )
-    diffs = np.abs(lhs_vals - rhs_vals)
+    """Compare two sides' values on the grid ``(n, dim)`` pointwise; each
+    of ``columns`` adds its values to the points after the difference."""
+    diffs = np.abs(lhs - rhs)
     worst = float(diffs.max(initial=0.0))
-    points = [
-        {
-            "y": [float(v) for v in y],
-            "lhs": [float(a.real), float(a.imag)],
-            "rhs": [float(b.real), float(b.imag)],
-            "abs_diff": float(d),
-        }
-        for y, a, b, d in zip(grid, lhs_vals, rhs_vals, diffs)
-    ]
     return VerificationReport(
         identity=identity,
         grid_max_abs=worst,
@@ -102,7 +95,7 @@ def grid_check(
         beta=beta,
         tolerance=tol,
         metric="abs_diff",
-        points=points,
+        points=to_points({"y": grid, "lhs": lhs, "rhs": rhs, "abs_diff": diffs, **(columns or {})}),
         notes=list(notes),
     )
 
@@ -112,12 +105,15 @@ class Identity:
     """One identity, declared as data: a row of the identity table.
 
     ``checks(mu, beta)`` builds the sub-checks from the mapping and core
-    operators, as ``(lhs, rhs, notes)`` with two measures per side; a
-    fourth entry ``{column: measure}`` adds each measure's exponent to
-    every point.  ``mc`` names the random integral a Monte Carlo sub-check
-    samples and the law ``(mu, beta) -> measure`` it is tested against.
-    ``index`` fixes the mapping index of a row that reads no beta.  ``run``
-    reaches a separate check instead, ``(mu, beta, grid, u) -> report``.
+    operators, as ``(lhs, rhs, notes)`` with two measures per side; an lhs
+    given as a tuple of measures is their convolution, its terms summed
+    in order, and a fourth entry ``{column: i}`` adds lhs term ``i``'s
+    values to every point.  ``mc`` names the random integral a Monte Carlo
+    sub-check samples and the law ``(mu, beta) -> measure`` it is tested
+    against.  ``index`` fixes the mapping index of a row that reads no
+    beta, and ``reads`` names the other inputs, ``grid`` and ``u``, that the
+    row reads.  ``run`` reaches a separate check instead,
+    ``(mu, beta, grid, u) -> report``.
     """
 
     name: str
@@ -125,25 +121,26 @@ class Identity:
     checks: Optional[Callable[[IdMeasure, float], list]] = None
     mc: Optional[tuple] = None
     index: Optional[float] = None
+    reads: tuple = ("grid",)
     run: Optional[Callable] = None
 
     def __call__(self, mu: IdMeasure, beta: float, grid=None) -> list[VerificationReport]:
-        """Each sub-check on the grid, its rhs evaluated before its lhs: an
-        rhs that commits a shared input's rays lets the lhs answer from
-        their fits (cor1b's round trip), and no side is rewritten."""
+        """Each sub-check on the grid, every measure read once, the rhs
+        before the lhs: an rhs that commits a shared input's rays lets the
+        lhs answer from their fits (cor1b's round trip), and no side is
+        rewritten."""
         b = check_beta(beta)
         grid = np.asarray(default_grid(mu.dim) if grid is None else grid, dtype=float)
         grid = grid.reshape(-1, mu.dim)
         reports = []
         for lhs, rhs, notes, *columns in self.checks(mu, b):
             rhs_vals = rhs.exponent(grid)
-            report = grid_check(
-                self.name, lhs.exponent, rhs_vals, grid, self.tol, beta=b, notes=notes
-            )
-            for col, measure in (columns[0] if columns else {}).items():
-                for pt, z in zip(report.points, measure.exponent(grid)):
-                    pt[col] = [float(z.real), float(z.imag)]
-            reports.append(report)
+            terms = [t.exponent(grid) for t in (lhs if isinstance(lhs, tuple) else (lhs,))]
+            named = {col: terms[i] for col, i in (columns[0] if columns else {}).items()}
+            reports.append(grid_check(
+                self.name, sum(terms[1:], terms[0]), rhs_vals, grid, self.tol,
+                beta=b, notes=notes, columns=named,
+            ))
         return reports
 
 
@@ -156,24 +153,15 @@ def exponent_report(
 ) -> VerificationReport:
     """A measure's exponent on the grid, evaluated as one batch.  It
     compares nothing, so it passes whenever the evaluation succeeds."""
-    points = [
-        {"y": [float(v) for v in y], "re": float(z.real), "im": float(z.imag)}
-        for y, z in zip(grid, measure.exponent(grid))
-    ]
+    z = measure.exponent(grid)
     return VerificationReport(
         identity=identity,
         grid_max_abs=0.0,
         passed=True,
         beta=beta,
-        points=points,
+        points=to_points({"y": grid, "re": z.real, "im": z.imag}),
         notes=list(notes),
     )
-
-
-def report_schema() -> dict:
-    """The JSON schema every emitted report must validate against."""
-    text = resources.files("idcalc").joinpath("report.schema.json").read_text("utf-8")
-    return json.loads(text)
 
 
 def validate_report(doc: dict) -> None:
@@ -183,8 +171,9 @@ def validate_report(doc: dict) -> None:
 
 @functools.cache
 def _report_validator():
-    """The schema's validator, checked against its meta-schema once."""
+    """The shipped schema's validator, checked against its meta-schema once."""
     from jsonschema.validators import validator_for
-    cls = validator_for(schema := report_schema())
+    text = resources.files("idcalc").joinpath("report.schema.json").read_text("utf-8")
+    cls = validator_for(schema := json.loads(text))
     cls.check_schema(schema)
     return cls(schema)

@@ -12,7 +12,7 @@ Each is one :class:`idcalc.reports.Identity` row of ``IDENTITIES``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .factorization import COR1B, LEMMA1E, PROP1, verify_corollary5
 from .families import gamma, gaussian, dirac, poisson
 from .levyarea import AreaParams, verify_levy_area
 from .mappings import corollary1a_kernel, i_map, i_of_j_beta, j_beta, j_beta_inverse
-from .reports import Identity, VerificationReport
+from .reports import Identity, VerificationReport, to_points
 from .simulate import (
     Z_MAX,
     KernelIntegralSpec,
@@ -41,8 +41,7 @@ __all__ = [
     "MAPPINGS",
     "INTEGRALS",
     "default_seed_measures",
-    "sample_measure",
-    "mc_report",
+    "mc_check",
     "verify_identity",
     "run_all",
 ]
@@ -89,14 +88,14 @@ _ROWS = (
         (corollary1a_kernel(mu, b), j_beta(j_beta(mu, b), 2.0 * b), [f"seed {mu.label}"]),
     ]),
     COR1B,
-    Identity("cor5", run=_cor5),
+    Identity("cor5", reads=(), run=_cor5),
     Identity("prop2", 1e-8, lambda mu, b: [
         (i_map(j_beta(mu, b)), i_of_j_beta(mu, b),
          ["two-stage vs clocked quadrature", f"seed {mu.label}"]),
     ], mc=("clocked", lambda mu, b: i_of_j_beta(mu, b))),
     Identity("cor3", mc=("clocked", lambda mu, b: i_map(j_beta(mu, b))), index=1.0),
-    Identity("levyarea", index=1.0,
-             run=lambda mu, beta, grid, u: verify_levy_area(AreaParams(u=u), grid)),
+    Identity("levyarea", index=1.0, reads=("grid", "u"), run=lambda mu, beta, grid, u:
+             verify_levy_area(AreaParams(u=1.0 if u is None else u), grid)),
 )
 IDENTITIES = {row.name: row for row in _ROWS}
 
@@ -111,45 +110,39 @@ def default_seed_measures() -> dict[str, IdMeasure]:
     }
 
 
-def sample_measure(
-    measure: IdMeasure, spec: KernelIntegralSpec, cfg: PathConfig, n: int, seed: int
-) -> np.ndarray:
-    """Samples of a random integral driven by the Levy process of ``measure``."""
-    if measure.triplet is None:
-        raise ValidationError(f"{measure.label} has no triplet; cannot simulate")
-    return sample_integral(measure.triplet, spec, cfg, n, seed)
-
-
-def mc_report(
+def mc_check(
     identity: str,
-    samples: np.ndarray,
+    measure: IdMeasure,
     spec: KernelIntegralSpec,
-    reference: IdMeasure,
+    law: Callable[[IdMeasure, float], IdMeasure],
+    beta: float,
     grid: np.ndarray,
     cfg: PathConfig,
-    beta: float,
+    n: int,
     seed: int,
     notes: Sequence[str] = (),
-) -> VerificationReport:
-    """Monte Carlo report: the ecf of ``samples`` tested against the
-    reference exponent on the grid, one z-score per point."""
+) -> tuple[np.ndarray, VerificationReport]:
+    """Samples of the random integral ``spec`` driven by the Levy process
+    of ``measure``, and their Monte Carlo report: the samples' ecf tested
+    against the exponent of ``law(measure, beta)`` on the grid, one
+    z-score per point."""
+    if measure.triplet is None:
+        raise ValidationError(f"{measure.label} has no triplet; cannot simulate")
+    samples = sample_integral(measure.triplet, spec, cfg, n, seed)
     est = ecf(samples, grid)
     # a deterministic seed law leaves no statistical band; judge those
     # points against the left-point discretization allowance instead
     det_band = 8.0 * cfg.step * (1.0 + float(np.abs(est.grid).max()))
-    res = cf_distance_test(est, reference.exponent, det_tol=det_band)
-    points = [
-        {"y": [float(v) for v in y], "z": (None if not np.isfinite(z) else float(z))}
-        for y, z in zip(est.grid, res.z_scores)
-    ]
-    return VerificationReport(
+    res = cf_distance_test(est, law(measure, beta).exponent, det_tol=det_band)
+    z = [float(v) if np.isfinite(v) else None for v in res.z_scores]
+    return samples, VerificationReport(
         identity=identity,
         grid_max_abs=res.max_z if np.isfinite(res.max_z) else float("inf"),
         passed=res.passed,
         beta=beta,
         tolerance=Z_MAX,
         metric="z_score",
-        points=points,
+        points=to_points({"y": est.grid, "z": z}),
         notes=[f"monte carlo, status={res.status}", *notes],
         extra={
             "n_samples": est.n_samples,
@@ -165,37 +158,43 @@ def mc_report(
 def verify_identity(
     name: str,
     measure: Optional[IdMeasure] = None,
-    beta: float = 1.0,
+    beta: Optional[float] = None,
     grid: Optional[np.ndarray] = None,
     mc_cfg: Optional[PathConfig] = None,
     mc_n: int = 100_000,
     mc_s_max: float = 20.0,
     seed: int = 0,
-    u: float = 1.0,
+    u: Optional[float] = None,
 ) -> list[VerificationReport]:
-    """Run one named identity check; returns one report per sub-check."""
+    """Run one named identity check; returns one report per sub-check.
+    ``beta`` and ``u`` default to 1; a row refuses a ``beta`` when it fixes
+    its index, and a ``grid`` or ``u`` it does not read."""
     row = IDENTITIES.get(name)
     if row is None:
         raise ValidationError(f"unknown identity {name!r}; choose from {tuple(IDENTITIES)}")
+    if beta is not None and row.index is not None:
+        raise ValidationError(f"{name} runs at index {row.index:g}; it reads no --beta")
+    for flag, value in (("grid", grid), ("u", u)):
+        if value is not None and flag not in row.reads:
+            raise ValidationError(f"{name} reads no --{flag}")
+    if beta is None:
+        beta = 1.0 if row.index is None else row.index
     if row.run is not None:
         return [row.run(measure, beta, grid, u)]
     if measure is None:
         raise ValidationError(f"identity {name!r} needs a measure")
     if row.checks is None and mc_n <= 0:
         raise ValidationError(f"{name}'s only route is Monte Carlo, so --mc.n must be > 0")
-    beta = beta if row.index is None else row.index
-    if grid is None:
-        grid = default_grid(measure.dim)
+    grid = np.asarray(default_grid(measure.dim) if grid is None else grid, dtype=float)
+    grid = grid.reshape(-1, measure.dim)
     reports = row(measure, beta, grid) if row.checks is not None else []
     if row.mc is not None and mc_n > 0:
         integral, law = row.mc
-        cfg = mc_cfg or PathConfig()
         spec = INTEGRALS[integral][0](beta, mc_s_max)
-        samples = sample_measure(measure, spec, cfg, mc_n, seed)
-        reports.append(mc_report(
-            name, samples, spec, law(measure, beta), grid, cfg, beta, seed,
+        reports.append(mc_check(
+            name, measure, spec, law, beta, grid, mc_cfg or PathConfig(), mc_n, seed,
             notes=[f"seed measure {measure.label}"],
-        ))
+        )[1])
     return reports
 
 

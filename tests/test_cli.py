@@ -8,6 +8,7 @@ import pytest
 
 from idcalc import validate_report
 from idcalc.cli import main
+from idcalc.verify import IDENTITIES
 
 GAUSS = {"family": "gaussian", "var": 1.0}
 POISSON = {"family": "poisson", "rate": 1.0, "jump": 2.0}
@@ -312,6 +313,20 @@ def test_verify_rejects_beta_the_identity_does_not_read(identity, measures, caps
     argv = ["verify", "--identity", identity, "--measure", measures["gauss"], "--beta", "2"]
     assert main(argv + ["--mc.n", "50"]) == 2
     assert f"{identity} runs at index 1; it reads no --beta" in capsys.readouterr().err
+
+
+UNREAD_FLAGS = [
+    *((name, ["--u", "3"]) for name in IDENTITIES if name != "levyarea"),
+    ("cor5", ["--grid", "1", "2"]),
+]
+
+
+@pytest.mark.parametrize("identity,flag", UNREAD_FLAGS, ids=[n + f[0] for n, f in UNREAD_FLAGS])
+def test_verify_rejects_a_flag_the_row_does_not_read(identity, flag, measures, capsys):
+    # only levyarea reads --u, and cor5 runs on its own radial mesh
+    argv = ["verify", "--identity", identity, "--measure", measures["gauss"], "--mc.n", "0"]
+    assert main(argv + flag) == 2
+    assert f"{identity} reads no {flag[0]}" in capsys.readouterr().err
 
 
 def test_verify_cor3_without_monte_carlo_exits_2(measures, capsys):

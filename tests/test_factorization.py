@@ -16,6 +16,7 @@ from idcalc import (
     gamma,
     gaussian,
     j_beta,
+    measure_from_spec,
     poisson,
     power_segment,
     validate_report,
@@ -24,6 +25,7 @@ from idcalc import (
     verify_lemma1e,
     verify_prop1,
 )
+from idcalc import core
 from idcalc.factorization import dyadic_mesh, smeared_interval_mass
 from idcalc.mappings import smear_spectral, smear_triplet
 
@@ -85,6 +87,28 @@ def test_prop1_dirac_zero():
     rep = verify_prop1(dirac([0.0]), 1.0)
     assert rep.passed
     assert rep.grid_max_abs < 1e-15
+
+
+# the bench's 1-d power spec: atoms and bounded power densities on two rays
+POWER_SPEC = {
+    "dim": 1, "shift": [0.25], "cov": [[0.5]],
+    "spectral": {"rays": [
+        {"direction": [1.0], "atoms": [{"r": 0.5, "w": 0.6}, {"r": 2.0, "w": 0.5}],
+         "densities": [{"lo": 0.0, "hi": 1.5, "kind": "power", "coef": 0.6, "exponent": -1.2}]},
+        {"direction": [-1.0], "atoms": [{"r": 1.2, "w": 0.8}],
+         "densities": [{"lo": 0.2, "hi": 3.0, "kind": "power", "coef": 0.6, "exponent": 0.5}]},
+    ]},
+}
+
+
+def test_prop1_reads_rho_once(monkeypatch):
+    # the rho column is the lhs's own read of rho: a second 10-row read of
+    # rho would be a direct radial quadrature over the leaf, two more calls
+    calls = []
+    plain = core.char_exponent
+    monkeypatch.setattr(core, "char_exponent", lambda t, y: calls.append(1) or plain(t, y))
+    assert verify_prop1(measure_from_spec(POWER_SPEC), 1.0).passed
+    assert len(calls) == 8
 
 
 def test_prop1_notes_beta1_labeled():
@@ -297,3 +321,51 @@ def test_report_schema_rejects_missing_fields():
         validate_report({"identity": "x", "pass": True})
     with pytest.raises(jsonschema.ValidationError):
         validate_report({**verify_lemma1e(gaussian(1.0), 1.0).to_dict(), "pass": "yes"})
+
+
+def _layout(value):
+    """A point's keys in order with the type of each value, lists entry by entry."""
+    if isinstance(value, dict):
+        return tuple((k, _layout(v)) for k, v in value.items())
+    return tuple(map(_layout, value)) if isinstance(value, list) else type(value).__name__
+
+
+F, PAIR = "float", ("float", "float")
+
+
+@pytest.fixture(scope="module")
+def report_kinds():
+    from idcalc import AreaParams, SpectralMeasure, verify_levy_area
+    from idcalc.reports import exponent_report
+    from idcalc.simulate import PathConfig, jbeta_integral_spec
+    from idcalc.verify import mc_check
+
+    # the samples of a unit shift's jbeta integral sit near 0.5; against a
+    # shift of 0.52 the far points leave the deterministic band, z = None
+    _, mc = mc_check("mc", dirac([1.0]), jbeta_integral_spec(1.0), lambda mu, b: dirac([0.52]),
+                     1.0, GRID, PathConfig(), 200, 0)
+    return {
+        "grid": (verify_lemma1e(gaussian(1.0), 1.0),
+                 {(("y", (F,)), ("lhs", PAIR), ("rhs", PAIR), ("abs_diff", F))}),
+        "factor": (verify_prop1(gaussian(1.0), 1.0),
+                   {(("y", (F,)), ("lhs", PAIR), ("rhs", PAIR), ("abs_diff", F), ("rho", PAIR))}),
+        "exponent": (exponent_report("exponent", gaussian(1.0), GRID),
+                     {(("y", (F,)), ("re", F), ("im", F))}),
+        "mc": (mc, {(("y", (F,)), ("z", F)), (("y", (F,)), ("z", "NoneType"))}),
+        "cor5": (verify_corollary5(gamma(1.0, 1.0).triplet.M, 1.0),
+                 {(("ray", "int"), ("interval", PAIR), ("lhs", F), ("rhs", F), ("abs_diff", F))}),
+        "cor5-no-ray": (verify_corollary5(SpectralMeasure(()), 1.0), {(
+            ("ray", "NoneType"), ("interval", "NoneType"), ("lhs", F), ("rhs", F),
+            ("abs_diff", F))}),
+        "levyarea": (verify_levy_area(AreaParams(1.0)),
+                     {(("t", F), ("mapped", PAIR), ("log_sinh_factor", PAIR), ("abs_diff", F))}),
+    }
+
+
+@pytest.mark.parametrize("kind", ["grid", "factor", "exponent", "mc", "cor5", "cor5-no-ray",
+                                  "levyarea"])
+def test_report_point_layout_is_pinned(kind, report_kinds):
+    # key order and value types of each report kind's points, as written to JSON
+    report, layouts = report_kinds[kind]
+    assert {_layout(p) for p in report.points} == layouts
+    validate_report(report.to_dict())

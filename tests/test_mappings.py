@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -264,7 +265,7 @@ def test_imap_requires_log_moment():
     mu = IdMeasure.from_exponent(1, lambda Y: -np.abs(Y[:, 0]))  # no flag, no triplet
     with pytest.raises(DomainError):
         i_map(mu)
-    out = i_map(mu, assume_id_log=True)  # override enabled
+    out = i_map(replace(mu, log_moment_known=True))  # the flag overrides
     assert abs(complex(out.exponent(np.array([1.0])))) > 0
 
 

@@ -1,5 +1,7 @@
 """The batched exponent contract and the radial transform behind every mapping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import spence
@@ -166,7 +168,7 @@ def test_imap_of_log_exponent_is_dilogarithm():
 def test_imap_of_half_stable_spec():
     mp = pytest.importorskip("mpmath")
     mu = measure_from_spec(HALF_STABLE_SPEC)
-    got = i_map(mu, assume_id_log=True).exponent(STABLE_Y)
+    got = i_map(replace(mu, log_moment_known=True)).exponent(STABLE_Y)
     for y, z in zip(STABLE_Y[:, 0], got):
         # the density's exponent Gamma(-1/2)(-iy)^(1/2) - 2iy is homogeneous
         # of degree 1/2 past its compensator; the atom's by mpmath quadrature
@@ -227,10 +229,10 @@ def transforms(mu):
     for b in BETAS:
         yield j_beta(mu, b)
         yield j_beta_inverse(mu, b)
-        yield i_of_j_beta(mu, b, assume_id_log=True)
+        yield i_of_j_beta(replace(mu, log_moment_known=True), b)
         yield corollary1a_kernel(mu, b)
         yield factor_rho(mu, b)
-    yield i_map(mu, assume_id_log=True)
+    yield i_map(replace(mu, log_moment_known=True))
     yield convolve(mu, mu)
     yield conv_power(mu, 0.5)
 

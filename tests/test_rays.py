@@ -1,6 +1,8 @@
 """Reading composite exponents from per-ray Chebyshev fits (``idcalc.rays``):
 the fitted route against the direct one, and the fits' own contract."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -116,8 +118,8 @@ def assert_rel(got, want, tol):
 # the inner maps of each chain; the last one reads them
 CHAINS = {
     "depth3": ([lambda m: j_beta(m, 1.0), lambda m: j_beta(m, 2.0)],
-               lambda m: i_map(m, assume_id_log=True)),
-    "depth4": ([lambda m: j_beta(m, 0.5), lambda m: i_map(m, assume_id_log=True),
+               lambda m: i_map(replace(m, log_moment_known=True))),
+    "depth4": ([lambda m: j_beta(m, 0.5), lambda m: i_map(replace(m, log_moment_known=True)),
                 lambda m: j_beta(m, 2.0)],
                lambda m: corollary1a_kernel(m, 1.0)),
 }

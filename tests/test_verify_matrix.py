@@ -61,6 +61,12 @@ def test_cor3_without_monte_carlo_names_its_only_route():
         verify_identity("cor3", gaussian(1.0), mc_n=0)
 
 
+def test_monte_carlo_reads_the_grid_the_grid_check_reads():
+    # a flat 1-d grid is one frequency per value for both sub-checks
+    reports = verify_identity("prop2", gaussian(1.0), grid=np.array([0.5, 1.0]), mc_n=2000)
+    assert [[p["y"] for p in r.points] for r in reports] == [[[0.5], [1.0]]] * 2
+
+
 def test_unknown_identity_rejected():
     with pytest.raises(ValidationError):
         verify_identity("lemma9", gaussian(1.0))
