@@ -25,13 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import default_grid
+from .core import _as_grid
 from .errors import DomainError, IdcalcError, QuadratureError, ValidationError
 from .families import load_measure
 from .levyarea import AreaParams, nu_exponent, verify_levy_area
 from .factorization import verify_prop1
 from .reports import VerificationReport, exponent_report, validate_report
-from .simulate import PathConfig, write_samples_csv
+from .simulate import S_MAX, PathConfig, write_samples_csv
 from .verify import IDENTITIES, INTEGRALS, MAPPINGS, mc_check, run_all, verify_identity
 
 EXIT_OK = 0
@@ -40,11 +40,9 @@ EXIT_NUMERICAL = 3
 
 
 def _grid_from_args(args, dim: int) -> np.ndarray:
-    if args.grid:
-        if dim != 1:
-            raise ValidationError("--grid accepts scalars, available for 1-d measures")
-        return np.asarray(args.grid, dtype=float).reshape(-1, 1)
-    return default_grid(dim)
+    if args.grid and dim != 1:
+        raise ValidationError("--grid accepts scalars, available for 1-d measures")
+    return _as_grid(args.grid, dim)
 
 
 def _path_config(args) -> PathConfig:
@@ -92,7 +90,7 @@ def _add_mc(p):
                    help="Monte Carlo sample count (0 disables the MC layer)")
     p.add_argument("--mc.step", dest="mc_step", type=float, default=1e-3)
     p.add_argument("--mc.cutoff", dest="mc_cutoff", type=float, default=1e-3)
-    p.add_argument("--mc.smax", dest="mc_smax", type=float, default=20.0)
+    p.add_argument("--mc.smax", dest="mc_smax", type=float, default=S_MAX)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -147,14 +145,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_map(args) -> int:
     mu = load_measure(args.measure)
     grid = _grid_from_args(args, mu.dim)
-    mapped, notes = mu, [f"measure {mu.label}"]
+    mapped, beta, notes = mu, None, [f"measure {mu.label}"]
     if args.mapping is not None:
-        mapped = MAPPINGS[args.mapping][0](mu, args.beta)
+        beta = MAPPINGS[args.mapping].index(args.beta)
+        mapped = MAPPINGS[args.mapping].law(mu, beta)
         notes.append(f"result {mapped.label}")
-    report = exponent_report(
-        "exponent" if args.mapping is None else f"map:{args.mapping}", mapped, grid,
-        beta=None if args.mapping == "imap" else args.beta, notes=notes,
-    )
+    report = exponent_report("exponent" if args.mapping is None else f"map:{args.mapping}",
+                             mapped, grid, beta=beta, notes=notes)
     if args.csv:
         _write_csv(args.csv, ["y", "re", "im"],
                    [(_y_cell(p["y"]), p["re"], p["im"]) for p in report.points])
@@ -204,10 +201,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_simulate(args) -> int:
     mu = load_measure(args.measure)
-    make_spec, law = INTEGRALS[args.integral]
-    spec = make_spec(args.beta, args.mc_smax)
+    mapping = INTEGRALS[args.integral]
+    beta = mapping.index(args.beta)
+    spec = mapping.spec(beta, args.mc_smax)
     samples, report = mc_check(
-        f"simulate:{args.integral}", mu, spec, law, args.beta, _grid_from_args(args, mu.dim),
+        f"simulate:{args.integral}", mu, spec, mapping.law, beta, _grid_from_args(args, mu.dim),
         _path_config(args), max(args.mc_n, 2), args.seed,
         notes=[f"measure {mu.label}", f"target {spec.target}"],
     )

@@ -526,6 +526,16 @@ def _as_batch(y, dim: int) -> np.ndarray:
     return Y
 
 
+def _as_grid(grid, dim: int) -> np.ndarray:
+    """A grid of frequencies as ``(n, dim)`` finite values: ``None`` is
+    :func:`default_grid`, and a 1-d array is a column when ``dim`` is 1.
+    Any other shape, or a non-finite entry, raises ValidationError."""
+    if grid is None:
+        return default_grid(dim)
+    Y = np.asarray(grid, dtype=float)
+    return _as_batch(Y[:, None] if Y.ndim == 1 and dim == 1 else Y, dim)
+
+
 def char_exponent(triplet: LevyTriplet, y):
     """Characteristic exponent of a triplet at frequency ``y``.
 
@@ -847,14 +857,9 @@ def convolve(mu: IdMeasure, nu: IdMeasure) -> IdMeasure:
             mu.triplet.S + nu.triplet.S,
             mu.triplet.M.merged(nu.triplet.M),
         )
+    # infinite if either side's is, finite if both are, else unknown
     flags = (_log_moment_flag(mu), _log_moment_flag(nu))
-    lm: Optional[bool]
-    if flags == (True, True):
-        lm = True
-    elif False in flags:
-        lm = False
-    else:
-        lm = None
+    lm = False if False in flags else (True if flags == (True, True) else None)
     f, g = mu.exponent, nu.exponent
     return IdMeasure(
         dim=mu.dim,

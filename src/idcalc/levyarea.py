@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import IdMeasure, batched_exponent, default_grid
+from .core import IdMeasure, _as_grid, batched_exponent
 from .errors import ValidationError
 from .mappings import i_map, i_of_j_beta, j_beta
 from .reports import VerificationReport, to_points
@@ -137,9 +137,7 @@ def verify_levy_area(
     once-shrunk exponent, the decomposition that certifies the factor
     stays selfdecomposable.  Each part evaluates the grid as one batch.
     """
-    if grid is None:
-        grid = default_grid(1)
-    grid = np.asarray(grid, dtype=float).reshape(-1, 1)
+    grid = _as_grid(grid, 1)
     t = grid[:, 0]
     nu = area_measure(params)
     mapped = i_map(nu)

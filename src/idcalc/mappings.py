@@ -13,6 +13,8 @@ its Levy process ``Y_nu``:
 ``u**-1 - u**(beta-1)``, equivalently the integral of ``phi(exp(-s) y)``
 against the inner clock ``sigma_beta``; agreeing with
 ``i_map(j_beta(...))`` is one of the package's central cross-checks.
+Each of these and ``corollary1a_kernel`` is one :func:`radial_map` of
+the integral's weight and kernel power.
 
 The mapped measures carry exponents only.  The closed-form triplet of
 ``j_beta(nu)`` (shift contraction ``beta/(beta+1)``, covariance
@@ -25,6 +27,7 @@ its measure.  Agreement of the two routes is a tested invariant.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -171,10 +174,12 @@ def smear_triplet(triplet: LevyTriplet, beta: float) -> LevyTriplet:
 def radial_map(mu: IdMeasure, weight, power: float = 1.0):
     """Batched exponent ``y -> int_0^1 w(t) phi(t**power y) dt``.
 
-    ``weight`` maps an array of ``t`` to ``w(t)`` (``None`` for 1); the
-    substitution ``u = t**power`` keeps an endpoint singularity of the
-    weight out of the integrand.  With a weight bounded at 0 the integrand
-    is bounded, as ``phi(0) = 0``, and one
+    ``weight`` maps an array of ``t`` to ``w(t)`` (``None`` for 1).  A power
+    below 1 leaves the integrand's derivative unbounded at 0, so the
+    transform integrates over ``u = t**power`` instead, with the weight
+    ``w(u**b) b u**(b-1)``, ``b = 1/power``; a power of at least 1 keeps
+    the kernel ``t**power``, which is C^1 there.  With a weight bounded at
+    0 the integrand is bounded, as ``phi(0) = 0``, and one
     :func:`idcalc.quadrature.quad_complex` call integrates it.  Against a
     weight that blows up there (``1/u``), a stable-like ``phi`` leaves an
     integrand ``~ u**q``, ``-1 < q < 0``: :func:`idcalc.quadrature.quad_cut`
@@ -187,6 +192,10 @@ def radial_map(mu: IdMeasure, weight, power: float = 1.0):
     own fits.  Nothing is evaluated until the result is called.
     """
     src = mu.exponent
+    if power < 1.0:
+        b, w = 1.0 / power, weight
+        weight = lambda u: b * u ** (b - 1.0) * (1.0 if w is None else w(u**b))
+        power = 1.0
     unbounded = weight is not None and power_at_origin(
         lambda rows, t: weight(t), np.zeros(1, dtype=int), np.ones(1)
     )[0] < 0.0
@@ -211,31 +220,38 @@ def radial_map(mu: IdMeasure, weight, power: float = 1.0):
 # ---------------------------------------------------------------------------
 
 
-def j_beta(mu: IdMeasure, beta: float) -> IdMeasure:
-    """Generalized shrinking mapping at index ``beta``.
-
-    Exponent route: the integral of ``phi(t**(1/beta) y)`` over t in
-    (0, 1), substituting ``u = t**(1/beta)`` (weight ``beta u**(beta-1)``)
-    when beta > 1 so the integrand stays smooth at the left endpoint (for
-    beta <= 1 the unsubstituted kernel is already C^1 there, and the
-    substituted weight would introduce the singularity instead).
-
-    The result carries no triplet; :func:`smear_triplet` is the closed-form
-    route.  The result's log-moment flag is the source's, read from the
-    source triplet when unset: the mapping preserves finiteness of the log
-    moment in both directions.
-    """
-    b = check_beta(beta)
-    if b > 1.0:
-        phi = radial_map(mu, lambda u: b * u ** (b - 1.0))
-    else:
-        phi = radial_map(mu, None, power=1.0 / b)
+def _random_integral(mu: IdMeasure, name: str, weight, power: float = 1.0,
+                     gate: Optional[str] = None) -> IdMeasure:
+    """The law of a random integral against ``dY_mu``, labelled
+    ``name(mu.label)``: its exponent is :func:`radial_map` of the
+    integral's weight and kernel power.  A ``gate`` names a mapping that
+    requires a finite log moment (``mu.log_moment_known``, or its
+    triplet's when unset) and says nothing of its output's; otherwise the
+    output carries the source's flag, which the mapping preserves in both
+    directions."""
+    flag = _log_moment_flag(mu)
+    if gate is not None and flag is not True:
+        why = (f"that of {mu.label} is infinite" if flag is False else
+               f"unknown for {mu.label} (set log_moment_known=True on the measure to override)")
+        raise DomainError(f"{gate} requires a finite log moment; {why}")
     return IdMeasure(
         dim=mu.dim,
-        exponent=phi,
-        log_moment_known=_log_moment_flag(mu),
-        label=f"jbeta[{b:g}]({mu.label})",
+        exponent=radial_map(mu, weight, power),
+        log_moment_known=None if gate is not None else flag,
+        label=f"{name}({mu.label})",
     )
+
+
+def j_beta(mu: IdMeasure, beta: float) -> IdMeasure:
+    """Generalized shrinking mapping at index ``beta``: the integral of
+    ``phi(t**(1/beta) y)`` over t in (0, 1).
+
+    The result carries no triplet; :func:`smear_triplet` is the closed-form
+    route.  Its log-moment flag is the source's, read from the source
+    triplet when unset.
+    """
+    b = check_beta(beta)
+    return _random_integral(mu, f"jbeta[{b:g}]", None, 1.0 / b)
 
 
 def j_beta_inverse(mu: IdMeasure, beta: float) -> IdMeasure:
@@ -267,33 +283,15 @@ def j_beta_inverse(mu: IdMeasure, beta: float) -> IdMeasure:
     )
 
 
-def _require_log_moment(mu: IdMeasure, what: str) -> None:
-    flag = _log_moment_flag(mu)
-    if flag is False:
-        raise DomainError(f"{what} requires a finite log moment; that of {mu.label} is infinite")
-    if flag is None:
-        raise DomainError(
-            f"{what} requires a finite log moment; unknown for {mu.label} "
-            "(set log_moment_known=True on the measure to override)"
-        )
-
-
 def i_map(mu: IdMeasure) -> IdMeasure:
     """Selfdecomposability mapping: exponential kernel over (0, inf).
 
-    Exponent: integral over u in (0, 1] of ``phi(u y)/u``, from 0, with
-    the substitution of :func:`radial_map` where the integrand blows up
-    there.
+    Exponent: integral over u in (0, 1] of ``phi(u y)/u``, from 0.
 
     Requires a finite log moment: ``mu.log_moment_known``, or its
     triplet's when unset.
     """
-    _require_log_moment(mu, "i_map")
-    return IdMeasure(
-        dim=mu.dim,
-        exponent=radial_map(mu, lambda u: 1.0 / u),
-        label=f"imap({mu.label})",
-    )
+    return _random_integral(mu, "imap", lambda u: 1.0 / u, gate="i_map")
 
 
 def i_of_j_beta(mu: IdMeasure, beta: float) -> IdMeasure:
@@ -304,31 +302,18 @@ def i_of_j_beta(mu: IdMeasure, beta: float) -> IdMeasure:
     cross-validate the two-stage composition.
     """
     b = check_beta(beta)
-    _require_log_moment(mu, "i_of_j_beta")
-    return IdMeasure(
-        dim=mu.dim,
-        exponent=radial_map(mu, lambda u: 1.0 / u - u ** (b - 1.0)),
-        label=f"i-of-jbeta[{b:g}]({mu.label})",
-    )
+    return _random_integral(mu, f"i-of-jbeta[{b:g}]", lambda u: 1.0 / u - u ** (b - 1.0),
+                            gate="i_of_j_beta")
 
 
 def corollary1a_kernel(mu: IdMeasure, beta: float) -> IdMeasure:
     """Law of the integral of ``(1 - sqrt(t))**(1/beta)`` against ``dY(t)``.
 
-    Exponent: integral over t in (0, 1); after v = 1 - sqrt(t) this is
-    ``2 (1 - v) phi(v**(1/beta) y)`` over v in (0, 1), substituted once
-    more when beta > 1 (same endpoint-smoothness rule as the basic
-    map).  Equals the twice-applied shrinking map at indices beta then
-    2*beta, which is a tested identity.
+    Exponent: after v = 1 - sqrt(t), the integral of
+    ``2 (1 - v) phi(v**(1/beta) y)`` over v in (0, 1).  Equals the
+    twice-applied shrinking map at indices beta then 2*beta, which is a
+    tested identity.  The log-moment flag is the source's, as for
+    :func:`j_beta`.
     """
     b = check_beta(beta)
-    if b > 1.0:
-        phi = radial_map(mu, lambda u: 2.0 * b * u ** (b - 1.0) * (1.0 - u**b))
-    else:
-        phi = radial_map(mu, lambda v: 2.0 * (1.0 - v), power=1.0 / b)
-    return IdMeasure(
-        dim=mu.dim,
-        exponent=phi,
-        log_moment_known=_log_moment_flag(mu),
-        label=f"cor1a-kernel[{b:g}]({mu.label})",
-    )
+    return _random_integral(mu, f"cor1a-kernel[{b:g}]", lambda v: 2.0 * (1.0 - v), 1.0 / b)

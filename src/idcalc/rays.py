@@ -178,7 +178,8 @@ class RayFits:
         fit = np.flatnonzero(leaf >= 0)
         if len(fit):
             out[fit] = t[fit] * self._series(leaf[fit], t[fit])
-        direct = np.flatnonzero((leaf < 0) & (t > 0.0))
+        # rows of norm 0 read 0; a non-finite row is read directly, and raises
+        direct = np.flatnonzero((leaf < 0) & ~(t <= 0.0))
         if len(direct):
             out[direct] = self.exponent(Y[direct])
         return out

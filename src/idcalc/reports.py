@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import IdMeasure, default_grid
+from .core import IdMeasure, _as_grid
 from .mappings import check_beta
 
 __all__ = [
@@ -130,8 +130,7 @@ class Identity:
         lhs answer from their fits (cor1b's round trip), and no side is
         rewritten."""
         b = check_beta(beta)
-        grid = np.asarray(default_grid(mu.dim) if grid is None else grid, dtype=float)
-        grid = grid.reshape(-1, mu.dim)
+        grid = _as_grid(grid, mu.dim)
         reports = []
         for lhs, rhs, notes, *columns in self.checks(mu, b):
             rhs_vals = rhs.exponent(grid)

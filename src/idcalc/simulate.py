@@ -26,7 +26,7 @@ index)``, so results are reproducible; Philox reaches any position in O(1)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,7 +53,9 @@ __all__ = [
 _CHUNK = 8192
 # jumps per block: its arrays, uniforms included, fit in the L2 cache
 _BLOCK = 1 << 16
-# kernel tail of the exponential integrand must contribute < 1e-4
+# default horizon of the exponential kernel, whose tail beyond s_max
+# must contribute < _TAIL_BUDGET
+S_MAX = 20.0
 _TAIL_BUDGET = 1e-4
 
 
@@ -119,29 +121,20 @@ def jbeta_integral_spec(beta: float) -> KernelIntegralSpec:
     )
 
 
-def imap_integral_spec(s_max: float = 20.0) -> KernelIntegralSpec:
+def imap_integral_spec(s_max: float = S_MAX) -> KernelIntegralSpec:
     """Kernel ``exp(-s)`` on (0, s_max], s_max chosen so the dropped tail
     is below the exponent-norm budget."""
     if math.exp(-s_max) >= _TAIL_BUDGET:
-        raise ValidationError(
-            f"s_max={s_max} leaves kernel tail exp(-s_max) >= {_TAIL_BUDGET}"
-        )
+        raise ValidationError(f"s_max={s_max} leaves kernel tail exp(-s_max) >= {_TAIL_BUDGET}")
     return KernelIntegralSpec(kernel=lambda s: np.exp(-s), s_max=s_max, target="imap")
 
 
-def clocked_integral_spec(beta: float, s_max: float = 20.0) -> KernelIntegralSpec:
-    """Kernel ``exp(-s)`` with the inner clock of index ``beta``."""
+def clocked_integral_spec(beta: float, s_max: float = S_MAX) -> KernelIntegralSpec:
+    """The kernel of :func:`imap_integral_spec` with the inner clock of
+    index ``beta``."""
     b = check_beta(beta)
-    if math.exp(-s_max) >= _TAIL_BUDGET:
-        raise ValidationError(
-            f"s_max={s_max} leaves kernel tail exp(-s_max) >= {_TAIL_BUDGET}"
-        )
-    return KernelIntegralSpec(
-        kernel=lambda s: np.exp(-s),
-        s_max=s_max,
-        clock=lambda s, b=b: sigma_clock(b, s),
-        target=f"i-of-jbeta[{b:g}]",
-    )
+    return replace(imap_integral_spec(s_max), clock=lambda s: sigma_clock(b, s),
+                   target=f"i-of-jbeta[{b:g}]")
 
 
 def cor1a_integral_spec(beta: float) -> KernelIntegralSpec:

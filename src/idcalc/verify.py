@@ -12,11 +12,11 @@ Each is one :class:`idcalc.reports.Identity` row of ``IDENTITIES``.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import IdMeasure, conv_power, convolve, default_grid
+from .core import IdMeasure, _as_grid, conv_power, convolve
 from .errors import ValidationError
 from .factorization import COR1B, LEMMA1E, PROP1, verify_corollary5
 from .families import gamma, gaussian, dirac, poisson
@@ -24,6 +24,7 @@ from .levyarea import AreaParams, verify_levy_area
 from .mappings import corollary1a_kernel, i_map, i_of_j_beta, j_beta, j_beta_inverse
 from .reports import Identity, VerificationReport, to_points
 from .simulate import (
+    S_MAX,
     Z_MAX,
     KernelIntegralSpec,
     PathConfig,
@@ -48,20 +49,36 @@ __all__ = [
 
 BETA_SET = (0.5, 1.0, 2.0)
 
-# each mapping by name: its law (mu, beta) -> measure, and the random
-# integral with that law, as its name and sampling spec (beta, s_max) ->
-# KernelIntegralSpec; a law looks its mapping up when called, so a
-# wrapper put on the module's name is seen
+
+class Mapping(NamedTuple):
+    """A mapping: its law ``(mu, beta) -> measure``, whether that law reads
+    ``beta``, and the random integral with that law, as its name and
+    sampling spec ``(beta, s_max) -> KernelIntegralSpec``.  A law looks its
+    mapping up when called, so a wrapper put on the module's name is seen."""
+
+    law: Callable[[IdMeasure, Optional[float]], IdMeasure]
+    indexed: bool = True
+    integral: Optional[str] = None
+    spec: Optional[Callable[[Optional[float], float], KernelIntegralSpec]] = None
+
+    def index(self, beta: float) -> Optional[float]:
+        """The index a report of this mapping records: ``beta``, or None."""
+        return beta if self.indexed else None
+
+
 MAPPINGS = {
-    "jbeta": (lambda mu, b: j_beta(mu, b), "jbeta", lambda b, s_max: jbeta_integral_spec(b)),
-    "jbeta-inv": (lambda mu, b: j_beta_inverse(mu, b), None, None),
-    "imap": (lambda mu, b: i_map(mu), "imap", lambda b, s_max: imap_integral_spec(s_max)),
-    "i-of-jbeta": (lambda mu, b: i_of_j_beta(mu, b), "clocked", clocked_integral_spec),
-    "cor1a": (lambda mu, b: corollary1a_kernel(mu, b), "cor1a",
-              lambda b, s_max: cor1a_integral_spec(b)),
+    "jbeta": Mapping(lambda mu, b: j_beta(mu, b), True, "jbeta",
+                     lambda b, s_max: jbeta_integral_spec(b)),
+    "jbeta-inv": Mapping(lambda mu, b: j_beta_inverse(mu, b)),
+    "imap": Mapping(lambda mu, b: i_map(mu), False, "imap",
+                    lambda b, s_max: imap_integral_spec(s_max)),
+    "i-of-jbeta": Mapping(lambda mu, b: i_of_j_beta(mu, b), True, "clocked",
+                          clocked_integral_spec),
+    "cor1a": Mapping(lambda mu, b: corollary1a_kernel(mu, b), True, "cor1a",
+                     lambda b, s_max: cor1a_integral_spec(b)),
 }
-# each random integral by name: (sampling spec, law)
-INTEGRALS = {name: (spec, law) for law, name, spec in MAPPINGS.values() if name}
+# each random integral by name: the mapping whose law it has
+INTEGRALS = {m.integral: m for m in MAPPINGS.values() if m.integral}
 
 
 def _cor5(mu, beta, grid, u) -> VerificationReport:
@@ -114,8 +131,8 @@ def mc_check(
     identity: str,
     measure: IdMeasure,
     spec: KernelIntegralSpec,
-    law: Callable[[IdMeasure, float], IdMeasure],
-    beta: float,
+    law: Callable[[IdMeasure, Optional[float]], IdMeasure],
+    beta: Optional[float],
     grid: np.ndarray,
     cfg: PathConfig,
     n: int,
@@ -162,7 +179,7 @@ def verify_identity(
     grid: Optional[np.ndarray] = None,
     mc_cfg: Optional[PathConfig] = None,
     mc_n: int = 100_000,
-    mc_s_max: float = 20.0,
+    mc_s_max: float = S_MAX,
     seed: int = 0,
     u: Optional[float] = None,
 ) -> list[VerificationReport]:
@@ -185,12 +202,11 @@ def verify_identity(
         raise ValidationError(f"identity {name!r} needs a measure")
     if row.checks is None and mc_n <= 0:
         raise ValidationError(f"{name}'s only route is Monte Carlo, so --mc.n must be > 0")
-    grid = np.asarray(default_grid(measure.dim) if grid is None else grid, dtype=float)
-    grid = grid.reshape(-1, measure.dim)
+    grid = _as_grid(grid, measure.dim)
     reports = row(measure, beta, grid) if row.checks is not None else []
     if row.mc is not None and mc_n > 0:
         integral, law = row.mc
-        spec = INTEGRALS[integral][0](beta, mc_s_max)
+        spec = INTEGRALS[integral].spec(beta, mc_s_max)
         reports.append(mc_check(
             name, measure, spec, law, beta, grid, mc_cfg or PathConfig(), mc_n, seed,
             notes=[f"seed measure {measure.label}"],
@@ -203,7 +219,7 @@ def run_all(
     mc_cfg: Optional[PathConfig] = None,
     mc_n: int = 100_000,
     seed: int = 0,
-    mc_s_max: float = 20.0,
+    mc_s_max: float = S_MAX,
 ) -> list[VerificationReport]:
     """Full verification matrix: the table's grid identities crossed with
     the beta set, over the given measure or the default seed families.  ``mc_s_max``

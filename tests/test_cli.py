@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from idcalc import validate_report
+from idcalc import quadrature, validate_report
 from idcalc.cli import main
 from idcalc.verify import IDENTITIES
 
@@ -47,12 +47,14 @@ ATOM_EXP = {
     },
 }
 
+PLANE = {"dim": 2, "cov": [[1.0, 0.0], [0.0, 2.0]]}
+
 
 @pytest.fixture
 def measures(tmp_path):
     paths = {}
     specs = [("gauss", GAUSS), ("poisson", POISSON), ("bad", BAD_DENSITY),
-             ("shift", SHIFT), ("atom_exp", ATOM_EXP)]
+             ("shift", SHIFT), ("atom_exp", ATOM_EXP), ("plane", PLANE)]
     for name, spec in specs:
         p = tmp_path / f"{name}.json"
         p.write_text(json.dumps(spec), encoding="utf-8")
@@ -229,6 +231,42 @@ def test_simulate_rejects_a_tail_too_slow_to_sample(tmp_path, capsys):
     p.write_text(json.dumps(spec), encoding="utf-8")
     assert main(["simulate", "--measure", str(p), "--mc.n", "1000"]) == 2
     assert "segment tail decays too slowly to sample" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,words", [
+    (["verify", "--identity", "prop2", "--measure", "gauss", "--mc.n", "0", "--grid", "nan", "1"],
+     "non-finite"),
+    (["map", "--measure", "gauss", "--grid", "inf"], "non-finite"),
+    (["map", "--measure", "plane", "--grid", "1", "2"], "available for 1-d measures"),
+    (["verify", "--identity", "prop1", "--measure", "plane", "--mc.n", "0", "--grid", "1"],
+     "available for 1-d measures"),
+], ids=["verify-nan", "map-inf", "map-2d", "verify-2d"])
+def test_a_grid_that_does_not_fit_exits_2(argv, words, measures, tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    argv = [measures.get(a, a) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert words in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,beta", [
+    (["map", "--mapping", "imap", "--beta", "2.0"], None),
+    (["simulate", "--integral", "imap", "--beta", "2.0", "--mc.n", "200"], None),
+    (["map", "--mapping", "cor1a", "--beta", "2.0"], 2.0),
+    (["simulate", "--integral", "clocked", "--beta", "2.0", "--mc.n", "200"], 2.0),
+], ids=["map-imap", "simulate-imap", "map-cor1a", "simulate-clocked"])
+def test_a_report_records_beta_only_for_a_mapping_that_reads_it(argv, beta, measures, tmp_path):
+    out = tmp_path / "rep.json"
+    main(argv + ["--measure", measures["gauss"], "--out", str(out)])
+    assert read_report(out)["beta"] == beta
+
+
+def test_a_quadrature_that_does_not_converge_exits_3(measures, monkeypatch, capsys):
+    # one panel per row: the j_beta integrand of an atom at y = -5 needs more
+    monkeypatch.setattr(quadrature, "PANEL_LIMIT", 1)
+    argv = ["map", "--measure", measures["atom_exp"], "--mapping", "jbeta", "--beta", "0.5"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
 
 
 def test_levy_area_command(tmp_path):

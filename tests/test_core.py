@@ -92,6 +92,41 @@ def test_invalid_triplet_rejected():
         LevyTriplet(np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
+RAY_1D = RadialComponent(np.array([1.0]), atoms=(RadialAtom(1.0, 1.0),))
+RAY_2D = RadialComponent(np.array([0.6, 0.8]), atoms=(RadialAtom(1.0, 1.0),))
+REFUSALS = {
+    "vector-shape": (lambda: core._as_vector(np.zeros((2, 2))), "expected a vector"),
+    "vector-dim": (lambda: core._as_vector([1.0, 2.0], 3), "expected dimension 3"),
+    "vector-nan": (lambda: core._as_vector([np.nan]), "non-finite"),
+    "atom-radius": (lambda: RadialAtom(0.0, 1.0), "atom radius"),
+    "atom-weight": (lambda: RadialAtom(1.0, -1.0), "atom weight"),
+    "support": (lambda: power_segment(1.0, 0.0, 2.0, 1.0), "0 <= lo < hi"),
+    "log-tail": (lambda: callable_segment(np.exp, 0.0, 1.0, log_tail="maybe"),
+                 "unknown log_tail hint"),
+    "rate": (lambda: exp_segment(1.0, 0.0, 0.0, 0.0, 1.0), "rate must be > 0"),
+    "coef": (lambda: power_segment(-1.0, 0.0, 0.0, 1.0), "coefficient must be >= 0"),
+    "scale": (lambda: core.scale_segment(power_segment(1.0, 0.0, 0.0, 1.0), 0.0),
+              "scale factor"),
+    "direction": (lambda: RadialComponent(np.array([2.0])), "unit vector"),
+    "ray-dims": (lambda: SpectralMeasure((RAY_1D, RAY_2D)), "rays disagree on dimension"),
+    "cov-shape": (lambda: LevyTriplet(np.zeros(1), np.eye(2)), "covariance shape"),
+    "cov-nan": (lambda: LevyTriplet(np.zeros(1), [[np.nan]]), "non-finite entries"),
+    "spectral-dim": (lambda: LevyTriplet(np.zeros(2), np.eye(2), SpectralMeasure((RAY_1D,))),
+                     "spectral dimension 1"),
+    "batch-shape": (lambda: core._as_batch(np.zeros((3, 2)), 1),
+                    r"shape \(n, 1\), got \(3, 2\)"),
+    "batch-nan": (lambda: core._as_batch([[np.inf]], 1), "non-finite"),
+    "measure-dim": (lambda: IdMeasure(0, lambda Y: Y[:, 0]), "dimension must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_a_malformed_core_object_is_refused(name):
+    make, words = REFUSALS[name]
+    with pytest.raises(ValidationError, match=words):
+        make()
+
+
 # ---------------------------------------------------------------------------
 # spectral validation
 # ---------------------------------------------------------------------------
@@ -375,6 +410,14 @@ def test_convolve_exponent_sum():
 def test_convolve_dim_mismatch():
     with pytest.raises(ValidationError):
         convolve(gaussian(1.0, dim=1), gaussian(1.0, dim=2))
+
+
+@pytest.mark.parametrize("flag,want", [(False, False), (None, None), (True, True)])
+def test_convolve_log_moment_flag(flag, want):
+    # infinite if either side's is, finite if both are, unknown otherwise
+    one = IdMeasure.from_exponent(1, lambda Y: -0.5 * Y[:, 0] ** 2 + 0j, log_moment_known=flag)
+    assert convolve(one, gaussian(1.0)).log_moment_known is want
+    assert convolve(gaussian(1.0), one).log_moment_known is want
 
 
 def test_conv_power_examples():

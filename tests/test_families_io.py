@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -112,3 +113,17 @@ def test_load_measure_roundtrip(tmp_path):
 def test_missing_dim_rejected():
     with pytest.raises(ValidationError, match="dim"):
         measure_from_spec({"shift": [0.0]})
+
+
+@pytest.mark.parametrize("make,words", [
+    (lambda: poisson(rate=0.0), "poisson rate must be > 0"),
+    (lambda: poisson(jump=0.0), "poisson jump must be nonzero"),
+    (lambda: gamma(shape=-1.0), "gamma shape must be > 0"),
+    (lambda: gamma(rate=math.inf), "gamma rate must be > 0"),
+    (lambda: measure_from_spec([1.0]), "measure spec must be a JSON object"),
+    (lambda: measure_from_spec({"dim": 1, "spectral": {"rays": [5]}}),
+     "ray 0 must be a JSON object, got 5"),
+], ids=["poisson-rate", "poisson-jump", "gamma-shape", "gamma-rate", "spec", "field"])
+def test_a_bad_family_parameter_or_spec_is_refused(make, words):
+    with pytest.raises(ValidationError, match=words):
+        make()

@@ -323,6 +323,12 @@ def test_sigma_clock_values():
     assert sigma_clock(2.0, 3.0) == pytest.approx(3.0 + math.exp(-6.0) / 2.0 - 0.5, rel=1e-14)
 
 
+@pytest.mark.parametrize("s", [-1.0, [0.0, 1.0, -1e-12]], ids=["scalar", "array"])
+def test_sigma_clock_refuses_a_negative_argument(s):
+    with pytest.raises(ValidationError, match="clock argument must be >= 0"):
+        sigma_clock(1.0, s)
+
+
 @given(
     beta=st.floats(min_value=0.1, max_value=5.0),
     s1=st.floats(min_value=0.0, max_value=50.0),

@@ -110,6 +110,24 @@ def test_imap_gamma_dilogarithm(k, lam):
         assert np.all(np.abs(part(got) - part(want)) <= np.maximum(ABS_TOL, REL_TOL * np.abs(part(want))))
 
 
+# weights and their integrals against t^q over (0, 1)
+WEIGHTS = {
+    "one": (None, lambda q: 1.0 / (q + 1.0)),
+    "cor1a": (lambda v: 2.0 * (1.0 - v), lambda q: 2.0 / (q + 1.0) - 2.0 / (q + 2.0)),
+    "imap": (lambda u: 1.0 / u, lambda q: 1.0 / q),
+}
+
+
+@pytest.mark.parametrize("power", [0.25, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("name", sorted(WEIGHTS))
+def test_radial_map_substitutes_below_power_1_to_the_same_value(name, power):
+    # phi(y) = -y^2/2, so the transform is -y^2/2 times int_0^1 w(t) t^(2 power) dt
+    weight, moment = WEIGHTS[name]
+    got = radial_map(gaussian(1.0), weight, power)(BATCH)
+    want = -0.5 * BATCH[:, 0] ** 2 * moment(2.0 * power)
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
 def test_nonintegrable_integrand_raises_with_errors():
     # phi(u y) = i u y against 1/u^2: the integrand i y/u is not integrable at 0
     phi = radial_map(dirac([1.0]), lambda u: 1.0 / u**2)

@@ -8,6 +8,7 @@ import pytest
 
 from idcalc import (
     IdMeasure,
+    QuadratureError,
     batched_exponent,
     corollary1a_kernel,
     default_grid,
@@ -280,6 +281,14 @@ def test_zero_rows_read_exactly_zero(answered):
     assert rows_of(answered) > 0
     assert values[:3].tolist() == [0j, 0j, 0j]
     assert inner.exponent(np.zeros((40, 1))).tolist() == [0j] * 40
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_row_is_read_directly_and_raises(value):
+    # a row that is not on any ray must not read 0 like the origin
+    with pytest.raises(QuadratureError, match="not finite"):
+        j_beta(gaussian(1.0), 1.0).exponent(np.array([[value], [1.0]]))
 
 
 def test_positive_multiples_share_one_ray(made):

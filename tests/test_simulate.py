@@ -59,6 +59,25 @@ def test_path_config_validation():
         PathConfig(small_jump_cutoff=1.5)
 
 
+def _sample(kernel=np.ones_like, clock=None, n=10):
+    spec = KernelIntegralSpec(kernel=kernel, s_max=1.0, clock=clock)
+    return sample_integral(gaussian(1.0).triplet, spec, CFG, n, 0)
+
+
+@pytest.mark.parametrize("make,words", [
+    (lambda: KernelIntegralSpec(kernel=np.ones_like, s_max=math.inf), "s_max must be finite"),
+    (lambda: KernelIntegralSpec(kernel=np.ones_like, s_max=0.0), "s_max must be finite"),
+    (lambda: _sample(n=0), "need at least one sample"),
+    (lambda: _sample(clock=lambda s: s + 1.0), "clock must vanish at 0"),
+    (lambda: _sample(clock=lambda s: -s), "clock must be nondecreasing"),
+    (lambda: _sample(kernel=lambda s: 1.0 / s), "kernel is unbounded on the mesh"),
+    (lambda: ecf(np.zeros((10, 2)), np.ones((3, 1))), "grid dimension 1 does not match"),
+], ids=["s_max-inf", "s_max-0", "n", "clock-at-0", "clock-decreasing", "kernel", "ecf-width"])
+def test_a_malformed_sampling_request_is_refused(make, words):
+    with np.errstate(divide="ignore"), pytest.raises(ValidationError, match=words):
+        make()
+
+
 def test_truncation_rule_for_infinite_horizon_kernels():
     # exp(-s_max) must stay under the 1e-4 exponent-norm budget
     with pytest.raises(ValidationError):

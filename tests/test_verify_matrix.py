@@ -1,9 +1,25 @@
 import numpy as np
 import pytest
 
-from idcalc import ValidationError, default_grid, gaussian, j_beta
+from idcalc import (
+    IdMeasure,
+    PathConfig,
+    ValidationError,
+    default_grid,
+    gaussian,
+    j_beta,
+    jbeta_integral_spec,
+    verify_prop1,
+)
 from idcalc.cli import build_parser
-from idcalc.verify import IDENTITIES, default_seed_measures, run_all, verify_identity
+from idcalc.verify import (
+    IDENTITIES,
+    MAPPINGS,
+    default_seed_measures,
+    mc_check,
+    run_all,
+    verify_identity,
+)
 
 SEED_LABELS = ("gaussian(var=1)", "dirac([1.])", "poisson(rate=1, jump=2)", "gamma(1,1)")
 LEVYAREA_NOTE = (
@@ -67,6 +83,21 @@ def test_monte_carlo_reads_the_grid_the_grid_check_reads():
     assert [[p["y"] for p in r.points] for r in reports] == [[[0.5], [1.0]]] * 2
 
 
+BARE = IdMeasure.from_exponent(1, lambda Y: -Y[:, 0] ** 2 + 0j, label="bare")
+
+
+@pytest.mark.parametrize("measure", [None, BARE], ids=["none", "exponent-only"])
+def test_cor5_refuses_a_measure_without_a_spectral_part(measure):
+    with pytest.raises(ValidationError, match="cor5 needs a measure with a spectral part"):
+        verify_identity("cor5", measure)
+
+
+def test_mc_check_refuses_a_measure_without_a_triplet():
+    with pytest.raises(ValidationError, match="bare has no triplet; cannot simulate"):
+        mc_check("jbeta", BARE, jbeta_integral_spec(1.0), MAPPINGS["jbeta"].law, 1.0,
+                 default_grid(1), PathConfig(), 200, 0)
+
+
 def test_unknown_identity_rejected():
     with pytest.raises(ValidationError):
         verify_identity("lemma9", gaussian(1.0))
@@ -105,3 +136,35 @@ def test_three_dimensional_measures():
         want = -0.5 / 3.0 * float(y @ np.diag([1.0, 2.0, 3.0]) @ y)
         assert complex(out.exponent(y)) == pytest.approx(want, abs=1e-10)
         assert abs(complex(out.exponent(-y)) - complex(out.exponent(y)).conjugate()) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the grid rule: a grid that does not fit the measure is refused
+# ---------------------------------------------------------------------------
+
+PLANE = gaussian(cov=[[1.0, 0.0], [0.0, 2.0]])
+COLUMN = np.array([[1.0], [2.0], [3.0], [4.0]])
+
+
+def test_a_column_grid_on_a_2d_measure_is_refused_not_paired():
+    with pytest.raises(ValidationError, match=r"shape \(n, 2\), got \(4, 1\)"):
+        verify_prop1(PLANE, 1.0, grid=COLUMN)
+    with pytest.raises(ValidationError, match=r"shape \(n, 2\), got \(4, 1\)"):
+        verify_identity("prop2", PLANE, grid=COLUMN, mc_n=0)
+
+
+@pytest.mark.parametrize("name,measure", [("prop2", gaussian(1.0)), ("levyarea", None)])
+def test_a_wide_grid_on_a_1d_row_is_refused(name, measure):
+    with pytest.raises(ValidationError, match=r"shape \(n, 1\), got \(1, 2\)"):
+        verify_identity(name, measure, grid=np.array([[1.0, 2.0]]), mc_n=0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_grid_is_refused(value):
+    with pytest.raises(ValidationError, match="non-finite"):
+        verify_identity("prop2", gaussian(1.0), grid=np.array([value, 1.0]), mc_n=0)
+
+
+def test_a_flat_grid_on_a_2d_measure_is_refused():
+    with pytest.raises(ValidationError, match=r"shape \(n, 2\), got \(4,\)"):
+        verify_identity("prop1", PLANE, grid=COLUMN[:, 0], mc_n=0)
