@@ -94,10 +94,11 @@ def _rays(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows of a batch as rays: their rounded unit directions (rows
     that are positive multiples of one frequency share one, even when
     their directions differ in the last bits), each row's ray and its
-    norm.  Zero rows have norm 0 and ray 0.  Past ``RAY_CACHE`` rays the
-    rest of the rows are left unassigned."""
+    norm.  Zero rows have norm 0 and ray 0; so has every row of
+    non-finite norm, which is on no ray.  Past ``RAY_CACHE`` rays the rest
+    of the rows are left unassigned."""
     norm = np.sqrt((Y * Y).sum(axis=1))
-    live = np.flatnonzero(norm > 0.0)
+    live = np.flatnonzero((norm > 0.0) & (norm < math.inf))
     # rounded to 13 decimals, as np.round does it; + 0.0 drops -0.0
     key = np.rint(Y[live] / norm[live, None] * 1e13) / 1e13 + 0.0
     # one ray at a time, in order of first row: a batch holds few, and a
@@ -160,7 +161,7 @@ class RayFits:
                 len(self.rays) + sum(k.tobytes() not in self.rays for k in keys) > RAY_CACHE:
             self.clear(Y.shape[1])
         local = np.array([self._ray(k) for k in keys], dtype=int)
-        live = np.flatnonzero(t > RAY_FLOOR)
+        live = np.flatnonzero((t > RAY_FLOOR) & (t < math.inf))
         r, j = local[ray[live]], _piece(t[live])
         width = int(j.max(initial=0)) + 1 - self.slots.shape[1]
         if width > 0:

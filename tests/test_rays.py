@@ -1,6 +1,7 @@
 """Reading composite exponents from per-ray Chebyshev fits (``idcalc.rays``):
 the fitted route against the direct one, and the fits' own contract."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -289,6 +290,30 @@ def test_a_non_finite_row_is_read_directly_and_raises(value):
     # a row that is not on any ray must not read 0 like the origin
     with pytest.raises(QuadratureError, match="not finite"):
         j_beta(gaussian(1.0), 1.0).exponent(np.array([[value], [1.0]]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_row_with_a_non_finite_entry_is_on_no_ray(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        keys, ray, norm = rays._rays(np.array([[value], [1.0], [2.0]]))
+    assert keys.tolist() == [[1.0]]
+    assert ray[1:].tolist() == [0, 0]
+    assert norm[1:].tolist() == [1.0, 2.0]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("committed", [False, True], ids=["large-batch", "committed-ray"])
+def test_a_row_with_an_infinite_entry_is_read_directly_and_raises(committed):
+    # either way the batch is read by rays, not directly as a whole
+    mu, line = j_beta(gaussian(1.0), 1.0), np.linspace(-5.0, 5.0, 400)[:, None]
+    if committed:
+        mu.exponent(line)
+        grid = np.array([[np.inf], [1.0]])
+    else:
+        grid = np.concatenate([line, [[np.inf]]])
+    with pytest.raises(QuadratureError, match="not finite"):
+        mu.exponent(grid)
 
 
 def test_positive_multiples_share_one_ray(made):

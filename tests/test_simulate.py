@@ -34,7 +34,9 @@ from idcalc import simulate
 from idcalc.core import _segment_mass
 from idcalc.simulate import (
     _CHUNK,
+    DIFF_FLOOR,
     SE_FLOOR,
+    Z_MAX,
     _Guide,
     _JumpModel,
     _ahead,
@@ -258,6 +260,31 @@ def test_ecf_of_constant_samples_stays_degenerate(value):
     assert res.status == "inconclusive"
 
 
+def _pole_samples():
+    # phase pi at y = 1: its half is the double nearest pi/2, whose tangent
+    # is about 1.6e16, so 1 + t^2 is t^2 and the sine is 2 / t
+    x = np.full((40, 1), math.pi)
+    x[::3] = -math.pi
+    x[1::5] = 0.5
+    assert abs(math.tan(0.5 * math.pi)) > 1e16
+    return x, np.array([[1.0], [-1.0], [2.0], [0.5]])
+
+
+def _far_samples():
+    rng = np.random.Generator(np.random.Philox(key=43))
+    return rng.uniform(-1e15, 1e15, (3000, 1)), np.array([[1.0], [-0.7], [0.3], [1e-15]])
+
+
+@pytest.mark.parametrize("case", [_pole_samples, _far_samples], ids=["half-pi", "phase-1e15"])
+def test_ecf_at_extreme_phases_matches_the_direct_mean(case):
+    x, grid = case()
+    est = ecf(x, grid)
+    values, se = _ecf_direct(x, grid)
+    assert np.all(np.isfinite(est.values)) and np.all(np.isfinite(est.std_error))
+    assert np.max(np.abs(est.values - values)) <= 1e-15
+    assert np.max(np.abs(est.std_error - se)) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # distance test
 # ---------------------------------------------------------------------------
@@ -300,6 +327,58 @@ def test_cf_distance_degenerate_se_with_band():
     assert close.status == "pass"
     far = cf_distance_test(est, lambda Y: 0.35j * Y[:, 0], det_tol=1e-3)
     assert far.status == "fail"
+
+
+def _pointwise_z(diff, std_error, det_tol):
+    """The z-scores and degenerate flag, one point at a time."""
+    z = np.zeros(len(diff))
+    degenerate = False
+    for i, (d, se) in enumerate(zip(diff, std_error)):
+        if d <= DIFF_FLOOR:
+            z[i] = 0.0
+        elif se <= SE_FLOOR:
+            if det_tol > 0.0:
+                z[i] = 0.0 if d <= det_tol else np.inf
+            else:
+                degenerate = True
+                z[i] = np.inf
+        else:
+            z[i] = d / se
+    return z, degenerate
+
+
+# (difference, standard error) points of the four cases: below DIFF_FLOOR,
+# degenerate within det_tol 1e-3, degenerate beyond it, and scored; each
+# floor and det_tol is hit exactly
+BELOW = [(0.0, 0.1), (DIFF_FLOOR, 0.0), (DIFF_FLOOR, 0.1)]
+WITHIN = [(5e-13, SE_FLOOR), (1e-3, SE_FLOOR), (5e-4, 1e-14), (2e-12, 0.0)]
+BEYOND = [(1.1e-3, 0.0), (0.5, SE_FLOOR)]
+LOW_Z = [(3e-12, 2e-12), (0.02, 0.01), (0.005, 0.01), (0.01, 0.1)]
+HIGH_Z = [(0.05, 0.01), (0.3, 0.05)]
+Z_CASES = {
+    "mixed": BELOW + WITHIN + BEYOND + LOW_Z + HIGH_Z,
+    "nan": BELOW + WITHIN + LOW_Z + [(np.nan, 0.01), (np.nan, 0.0)],
+    "within": BELOW + WITHIN + LOW_Z,
+    "scored": BELOW + LOW_Z,
+    "high": BELOW + LOW_Z + HIGH_Z,
+}
+
+
+@pytest.mark.parametrize("det_tol", [0.0, 1e-3])
+@pytest.mark.parametrize("name", sorted(Z_CASES))
+def test_cf_distance_test_scores_as_the_pointwise_rule(name, det_tol):
+    diff, se = np.array(Z_CASES[name]).T
+    # exp(-inf) is 0, so each point's difference is its value exactly
+    est = simulate.EcfEstimate(grid=np.ones((len(diff), 1)), values=diff + 0j,
+                               n_samples=1000, std_error=se)
+    res = cf_distance_test(est, lambda Y: np.full(len(Y), -np.inf), det_tol=det_tol)
+    z, degenerate = _pointwise_z(diff, se, det_tol)
+    np.testing.assert_array_equal(res.z_scores, z)
+    max_z, frac = float(z.max()), float(np.mean(z > 2.0))
+    np.testing.assert_equal((res.max_z, res.frac_above_2), (max_z, frac))
+    want = "inconclusive" if degenerate else (
+        "pass" if (max_z < Z_MAX and frac < 0.10) else "fail")
+    assert res.status == want
 
 
 # ---------------------------------------------------------------------------
