@@ -56,8 +56,7 @@ __all__ = [
 
 _CHUNK = 8192
 # jumps per block: a bound on memory, not a cache size.  The block's arrays,
-# uniforms included, take about 4 MB at 1 << 16 jumps, which is more than a
-# 2 MB L2 cache; 1 << 14 was no faster
+# uniforms included, take about 4 MB at 1 << 16 jumps, more than a 2 MB L2
 _BLOCK = 1 << 16
 # default horizon of the exponential kernel, whose tail beyond s_max
 # must contribute < _TAIL_BUDGET
