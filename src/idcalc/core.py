@@ -212,45 +212,42 @@ def scale_segment(seg: DensitySegment, c: float) -> DensitySegment:
     return replace(seg, fn=lambda r, g=seg.fn, c=c: c * g(r))
 
 
-def _segment_integral(seg: DensitySegment, a, b, weight=None, where=lambda i: ""):
-    """Integrals ``(n,)``, complex, of ``weight(rows, r) g(r)`` (``g`` for
-    ``None``) over ``(a_i, b_i)`` clipped to the support: every quadrature
-    over a density segment is one call of
-    :func:`idcalc.quadrature.quad_cut`, cut at radius 1 and the kinks.  A
-    piece from 0 takes the power of its integrand from ``small_r_power``
-    plus the weight's power, read off the weight alone; only a segment
-    without the hint has its density read off.  A row that does not
-    converge raises :class:`QuadratureError`, described by ``where(i)``.
+def _segment_integral(seg: DensitySegment, a, b, weight, where=lambda i: ""):
+    """Integrals ``(n,)``, complex, of ``weight(rows, r) g(r)`` over ``(a_i,
+    b_i)`` clipped to the support: every quadrature over a density segment
+    is one call of :func:`idcalc.quadrature.quad_cut`, cut at radius 1 and
+    the kinks.  A piece from 0 takes the power of its integrand from
+    ``small_r_power`` plus the weight's power, read off the weight alone;
+    only a segment without the hint has its density read off.  A row that
+    does not converge raises :class:`QuadratureError`, described by
+    ``where(i)``.
     """
     a, b = np.maximum(a, seg.lo), np.minimum(b, seg.hi)
     g, p = seg.fn, seg.small_r_power
-    if weight is None:
-        f, power = (lambda rows, r: g(r)), (None if p is None else lambda rows, r0: p)
-    else:
-        f = lambda rows, r: weight(rows, r) * g(r)
-        power = None if p is None else (lambda rows, r0: p + power_at_origin(weight, rows, r0))
-    return quad_cut(f, a, b, (UNIT_BALL_RADIUS, *seg.kinks), power, where)
+    power = None if p is None else (lambda rows, r0: p + power_at_origin(weight, rows, r0))
+    return quad_cut(lambda rows, r: weight(rows, r) * g(r), a, b,
+                    (UNIT_BALL_RADIUS, *seg.kinks), power, where)
 
 
-def _segment_mass(seg: DensitySegment, a, b, weight=None) -> np.ndarray:
-    """Real :func:`_segment_integral` of ``weight(r)`` (1 for ``None``) on
-    ``(a_i, b_i)``; a clipped lower end of 0 must leave the integrand
-    integrable.  One that does not converge raises :class:`QuadratureError`:
-    a numerical failure, not a proof of infinite mass.  A ``power`` or
-    ``exp`` segment's own mass is a closed form where it is finite."""
-    if weight is None and seg.kind != "callable":
-        mass = _closed_mass(seg, a, b)
+def _segment_mass(seg: DensitySegment, a, b, power: float = 0.0) -> np.ndarray:
+    """Real integrals of ``r**power g(r)`` over ``(a_i, b_i)`` clipped to the
+    support: for a ``power`` or ``exp`` segment its closed form where that
+    is finite, else one :func:`_segment_integral`.  A clipped lower end of
+    0 must leave the integrand integrable; one that does not converge
+    raises :class:`QuadratureError`, a numerical failure, not a proof of
+    an infinite moment."""
+    if seg.kind != "callable":
+        mass = _closed_mass(seg, a, b, power)
         if np.isfinite(mass).all():
             return mass
-    w = None if weight is None else (lambda rows, r: weight(r))
-    return _segment_integral(seg, a, b, w).real
+    return _segment_integral(seg, a, b, lambda rows, r: r**power).real
 
 
-def _closed_mass(seg: DensitySegment, a, b) -> np.ndarray:
-    """``c int r^(q-1) e^(-rate r) dr``, ``q = exponent + 1``, over each ``(a_i,
-    b_i)`` clipped to the support: ``inf`` where it diverges."""
+def _closed_mass(seg: DensitySegment, a, b, power: float) -> np.ndarray:
+    """``c int r^(q-1) e^(-rate r) dr``, ``q = exponent + power + 1``, over
+    each ``(a_i, b_i)`` clipped to the support: ``inf`` where it diverges."""
     a = np.atleast_1d(np.maximum(a, seg.lo))
-    b, q = np.maximum(np.minimum(b, seg.hi), a), seg.exponent + 1.0
+    b, q = np.maximum(np.minimum(b, seg.hi), a), seg.exponent + power + 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if seg.rate:  # _power_exp's series from 0 needs q > 0
             m = np.where((a > 0.0) | (q > 0.0), _power_exp(q, seg.rate, a, b).real, np.inf)
@@ -326,20 +323,19 @@ class SpectralMeasure:
 
     # -- radial integrals used by the calculus and the sampler ------------
 
-    def ray_integral(self, ray_index: int, a, b, weight: Optional[Callable] = None):
-        """Integral of ``weight(r)`` (1 when ``None``) over the radii in
-        ``(a, b]`` of one ray: its atoms, then its density segments.  For
-        arrays of ends, the integrals over each ``(a_i, b_i]``, with each
-        segment's intervals integrated in one call."""
+    def ray_integral(self, ray_index: int, a, b, power: float = 0.0):
+        """Integral of ``r**power`` over the radii in ``(a, b]`` of one ray:
+        its atoms, then its density segments.  For arrays of ends, the
+        integrals over each ``(a_i, b_i]``, with each segment's intervals
+        integrated in one call."""
         ray = self.rays[ray_index]
         a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
         shape, a, b = a.shape, a.ravel(), b.ravel()
         total = np.zeros(a.size)
         for at in ray.atoms:
-            w = at.w if weight is None else at.w * weight(at.r)
-            total += np.where((a < at.r) & (at.r <= b), w, 0.0)
+            total += np.where((a < at.r) & (at.r <= b), at.w * at.r**power, 0.0)
         for seg in ray.densities:
-            total += _segment_mass(seg, a, b, weight)
+            total += _segment_mass(seg, a, b, power)
         return float(total[0]) if not shape else total.reshape(shape)
 
     def interval_mass(self, ray_index: int, r1: float, r2: float) -> float:
@@ -354,7 +350,7 @@ class SpectralMeasure:
         """Vector integral of ``x`` over ``eps < ||x|| <= UNIT_BALL_RADIUS``."""
         out = np.zeros(self.dim or 1)
         for i, ray in enumerate(self.rays):
-            out += self.ray_integral(i, eps, UNIT_BALL_RADIUS, lambda r: r) * ray.direction
+            out += self.ray_integral(i, eps, UNIT_BALL_RADIUS, 1.0) * ray.direction
         return out
 
     def second_moment_below(self, eps: float) -> np.ndarray:
@@ -362,7 +358,7 @@ class SpectralMeasure:
         d = self.dim or 1
         out = np.zeros((d, d))
         for i, ray in enumerate(self.rays):
-            out += self.ray_integral(i, 0.0, eps, lambda r: r * r) * np.outer(
+            out += self.ray_integral(i, 0.0, eps, 2.0) * np.outer(
                 ray.direction, ray.direction
             )
         return out
@@ -371,7 +367,7 @@ class SpectralMeasure:
         """Vector integral of ``x ||x||^(-1-beta)`` over ``||x|| > 1``."""
         out = np.zeros(self.dim or 1)
         for i, ray in enumerate(self.rays):
-            out += self.ray_integral(i, 1.0, math.inf, lambda r: r**-beta) * ray.direction
+            out += self.ray_integral(i, 1.0, math.inf, -beta) * ray.direction
         return out
 
 
@@ -407,7 +403,8 @@ def _segment_violation(seg: DensitySegment) -> Optional[str]:
         return None
     top = max(seg.lo, UNIT_BALL_RADIUS) if math.isinf(seg.hi) and tail else seg.hi
     try:
-        _segment_mass(seg, np.array([seg.lo]), np.array([top]), lambda r: np.minimum(1.0, r * r))
+        _segment_integral(seg, np.array([seg.lo]), np.array([top]),
+                          lambda rows, r: np.minimum(1.0, r * r))
     except QuadratureError as err:
         return f"min(1, r^2) integral on ({seg.lo:g}, {top:g}) failed: {err}"
     return None

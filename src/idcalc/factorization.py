@@ -117,12 +117,12 @@ def smeared_interval_mass(M: SpectralMeasure, beta: float, ray: int, r1, r2):
 
         M((r1, r2]) + T(r2) - T(r1),   T(r) = r^beta int_(r,inf) s^(-beta) M(ds),
 
-    weighted ray integrals of ``M`` itself (no closed-form smearing
+    power moments of ``M`` itself on its rays (no closed-form smearing
     involved).
     """
     b = check_beta(beta)
     ends = np.array([r1, r2], dtype=float)
-    T = ends**b * M.ray_integral(ray, ends, math.inf, lambda s: s**-b)
+    T = ends**b * M.ray_integral(ray, ends, math.inf, -b)
     return M.ray_integral(ray, r1, r2) + T[1] - T[0]
 
 

@@ -38,8 +38,7 @@ from .core import (
     RadialComponent,
     SpectralMeasure,
     _log_moment_flag,
-    _power_exp,
-    _segment_integral,
+    _segment_mass,
     batched_exponent,
     callable_segment,
     power_segment,
@@ -99,18 +98,9 @@ def sigma_clock(beta: float, s):
 
 def _smear_segment(seg: DensitySegment, beta: float) -> DensitySegment:
     """Smear of one density: ``beta rho^(beta-1)`` times the integral of
-    ``s^-beta g(s)`` over ``s > rho`` within the support.  The inner
-    integral is in closed form for a power density, and an upper
-    incomplete gamma for an exp density; otherwise the inner integrals of
-    a batch of radii are the rows of one segment integral."""
-    lo, hi, c = seg.lo, seg.hi, seg.coef
-    if seg.kind == "power":
-        q = seg.exponent - beta + 1.0
-        inner = lambda a: c * (np.log(hi / a) if q == 0.0 else (hi**q - a**q) / q)
-    elif seg.kind == "exp":
-        inner = lambda a: c * _power_exp(seg.exponent - beta + 1.0, seg.rate, a, hi).real
-    else:
-        inner = lambda a: _segment_integral(seg, a, hi, lambda rows, s: s**-beta).real
+    ``s^-beta g(s)`` over ``s > rho`` within the support, the inner
+    integrals of a batch of radii one :func:`_segment_mass` call."""
+    lo, hi = seg.lo, seg.hi
 
     def g_out(rho):
         rho = np.asarray(rho, dtype=float)
@@ -118,7 +108,7 @@ def _smear_segment(seg: DensitySegment, beta: float) -> DensitySegment:
         inside = (rho > 0) & (rho < hi)
         r = rho[inside]
         if r.size:
-            out[inside] = beta * r ** (beta - 1.0) * inner(np.maximum(r, lo))
+            out[inside] = beta * r ** (beta - 1.0) * _segment_mass(seg, r, hi, -beta)
         return out
 
     p = seg.small_r_power

@@ -12,7 +12,7 @@ from 0 and stages unbounded tails on growing cutoffs, so that a tail that
 does not settle is reported instead of silently trusted.
 :func:`quad_real` is its real entry point, and :func:`tail_quad` and
 :func:`head_quad` flag non-convergence on ``(a, inf)`` and ``(0, b)``.
-The package calls none of the three: every integral over a density
+The package calls none of the three: every quadrature over a density
 segment, validation included, is ``core._segment_integral``.  They remain
 because the benchmark's tracer (``bench/tracing.py``) wraps them by name.
 """

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from idcalc import core
@@ -285,7 +285,7 @@ def test_closed_segment_masses_match_quadrature(seg, monkeypatch):
     # intervals that miss a bounded support
     a = np.array([1e-3, 0.25, 0.5, 1.0, 2.0, 0.1, 3.0, 7.0])
     b = np.array([math.inf, 0.5, 2.0, math.inf, 4.0, 1.5, math.inf, 9.0])
-    want = core._segment_integral(seg, a, b).real
+    want = core._segment_integral(seg, a, b, lambda rows, r: r**0.0).real
     calls = counting_quad_cut(monkeypatch)
     np.testing.assert_allclose(core._segment_mass(seg, a, b), want, rtol=1e-13, atol=0.0)
     assert calls == []
@@ -299,6 +299,27 @@ def test_a_divergent_closed_segment_mass_is_still_a_quadrature_error():
     with pytest.raises(QuadratureError, match="did not settle"):
         core._segment_mass(power_segment(1.0, -0.5, 0.0, math.inf), np.array([1.0]),
                            np.array([math.inf]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(exponent=st.floats(-2.9, 1.5, exclude_min=True, exclude_max=True),
+       rate=st.one_of(st.just(0.0), st.floats(0.2, 5.0)),
+       lo=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+       width=st.one_of(st.just(math.inf), st.floats(0.1, 5.0)),
+       power=st.sampled_from([-2.0, -0.5, 1.0, 2.0]))
+def test_closed_power_moments_match_quadrature(exponent, rate, lo, width, power):
+    # the moment of r^power over the support and over its upper part
+    seg = (exp_segment(1.3, exponent, rate, lo, lo + width) if rate
+           else power_segment(1.3, exponent, lo, lo + width))
+    # the integrand is r^(q-1) e^(-rate r): skip where it diverges, or is so
+    # near it (a head ~ r^-0.95, a power tail ~ r^-1.5) that quadrature cannot settle
+    q = exponent + power + 1.0
+    assume(lo > 0.0 or q > 0.05)
+    assume(rate > 0.0 or math.isfinite(seg.hi) or q < -0.5)
+    a = np.array([seg.lo, 0.5 * (seg.lo + min(seg.hi, seg.lo + 3.0))])
+    b = np.full(2, seg.hi)
+    want = core._segment_integral(seg, a, b, lambda rows, r: r**power).real
+    np.testing.assert_allclose(core._segment_mass(seg, a, b, power), want, rtol=1e-9, atol=1e-13)
 
 
 def test_validate_integrates_a_callable_segment_once(monkeypatch):
@@ -319,7 +340,10 @@ def test_validate_integrates_a_callable_segment_once(monkeypatch):
 def test_log_moment_atom():
     M = atom_measure(math.e, 2.0)
     assert log_moment(M) is True
-    assert M.ray_integral(0, 1.0, math.inf, np.log) == pytest.approx(2.0, abs=1e-12)
+    # the log moment is the slope at power 0 of the power moments, 2 e^p here
+    h = 1e-5
+    slope = (M.ray_integral(0, 1.0, math.inf, h) - M.ray_integral(0, 1.0, math.inf, -h)) / (2 * h)
+    assert slope == pytest.approx(2.0, abs=1e-9)
 
 
 def test_log_moment_empty():
@@ -359,7 +383,8 @@ def test_log_moment_gamma_value():
     # oracle: mpmath quad of log(r) exp(-r)/r over (1, inf)
     M = gamma(1.0, 1.0).triplet.M
     assert log_moment(M) is True
-    value = M.ray_integral(0, 1.0, math.inf, np.log)
+    (seg,) = M.rays[0].densities
+    value = core._segment_integral(seg, np.ones(1), math.inf, lambda rows, r: np.log(r)).real[0]
     assert value == pytest.approx(0.0978431972166702, abs=1e-10)
 
 

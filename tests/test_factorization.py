@@ -12,6 +12,7 @@ from idcalc import (
     convolve,
     default_grid,
     dirac,
+    exp_segment,
     factor_rho,
     gamma,
     gaussian,
@@ -212,6 +213,40 @@ def test_cor5_atom_frozen_values(beta):
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
+EXP = exp_segment(0.8, -0.5, 1.5, 0.0, math.inf)
+
+
+def test_power_moments_of_closed_forms_need_no_quadrature(monkeypatch):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a closed-form segment reached quadrature")
+
+    monkeypatch.setattr(core, "_segment_integral", no_quadrature)
+    ray = RadialComponent(np.array([1.0]), atoms=(RadialAtom(0.5, 1.0),),
+                          densities=(power_segment(0.6, -1.5, 0.0, math.inf), EXP))
+    M = SpectralMeasure((ray,))
+    r = np.geomspace(1e-3, 10.0, 9)
+    values = [M.mean_between(1e-3), M.second_moment_below(1e-3)]
+    for beta in BETAS:
+        values += [M.tail_power_vector(beta), smeared_interval_mass(M, beta, 0, r[:-1], r[1:])]
+        values += [seg.fn(r) for seg in smear_spectral(M, beta).rays[0].densities]
+    assert all(np.isfinite(v).all() for v in values)
+
+
+def test_exp_segment_power_moments_match_mpmath():
+    # c r^p e^(-lam r) on (0, inf): the tail moment of r^-beta, and the mapped
+    # mass of (r1, r2] by its definition int_0^1 M(t^(-1/beta) (r1, r2]) dt,
+    # with M's distribution function a lower incomplete gamma
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    c, p, lam, beta, r1, r2 = 0.8, -0.5, 1.5, 0.7, 0.3, 1.7
+    M = SpectralMeasure((RadialComponent(np.array([1.0]), densities=(EXP,)),))
+    tail = c * mp.quad(lambda r: r ** (p - beta) * mp.exp(-lam * r), [1, mp.inf])
+    assert M.tail_power_vector(beta)[0] == pytest.approx(float(tail), rel=1e-13)
+    F = lambda x: c * lam ** -(p + 1) * mp.gammainc(p + 1, 0, lam * x)
+    mass = mp.quad(lambda t: F(r2 * t ** (-1 / beta)) - F(r1 * t ** (-1 / beta)), [0, 1])
+    assert smeared_interval_mass(M, beta, 0, r1, r2) == pytest.approx(float(mass), rel=1e-13)
+
+
 @pytest.mark.parametrize("beta", BETAS)
 def test_smeared_interval_mass_on_a_mesh_matches_head_and_tail_form(beta):
     # one call for the whole mesh, M((r1, r2]) + T(r2) - T(r1), against the
@@ -222,8 +257,8 @@ def test_smeared_interval_mass_on_a_mesh_matches_head_and_tail_form(beta):
         r1, r2 = np.array(mesh).T
         got = smeared_interval_mass(G, beta, 0, r1, r2)
         for (x1, x2), value in zip(mesh, got):
-            head = G.ray_integral(0, x1, x2, lambda s: 1.0 - (x1 / s) ** beta)
-            tail = G.ray_integral(0, x2, math.inf, lambda s: s**-beta)
+            head = G.ray_integral(0, x1, x2) - x1**beta * G.ray_integral(0, x1, x2, -beta)
+            tail = G.ray_integral(0, x2, math.inf, -beta)
             assert value == pytest.approx(head + (x2**beta - x1**beta) * tail, abs=1e-12)
 
 

@@ -12,6 +12,8 @@ from idcalc import (
     sinh_factor_exponent,
     verify_levy_area,
 )
+from idcalc import levyarea
+from idcalc.cli import main
 from idcalc.levyarea import chi
 
 
@@ -113,6 +115,25 @@ def test_verify_levy_area_report(u):
     assert rep.extra["chi_at_zero"] == 1.0
     assert rep.extra["clocked_decomposition_max_abs"] < 1e-8
     assert any("coth" in n for n in rep.notes)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "levyarea", "--grid", "380"],
+    ["verify", "--identity", "levyarea", "--u", "2", "--grid", "200"],
+    ["levy-area", "--grid", "1", "380"],
+])
+def test_levy_area_passes_where_chi_underflows(argv):
+    # chi(t) underflows to 0.0 once |t| u is above about 375; its bounds are read on log chi
+    assert chi(AreaParams(1.0), 380.0) == 0.0
+    assert main(argv) == 0
+
+
+def test_a_log_chi_above_zero_fails_the_product_form(monkeypatch):
+    real = levyarea.nu_exponent
+    monkeypatch.setattr(levyarea, "nu_exponent", lambda p, t: real(p, t) + 2.0 * np.abs(t))
+    rep = verify_levy_area(AreaParams(1.0), np.array([380.0]))
+    assert not rep.passed
+    assert "product-form cross-check failed" in rep.notes
 
 
 def test_area_csv_rows():
